@@ -21,18 +21,17 @@ Commands:
   seed-deterministic attacker strategy batch through paired two-world
   experiments and exit non-zero unless every requested scheme's MI
   upper bound stays within epsilon.
-* ``bench``   — the performance ledger: ``bench record`` appends a
-  ``BENCH_<n>.json`` suite measurement, ``bench compare`` diffs two
-  entries and exits non-zero on regression.
 * ``report``  — render one self-contained HTML artifact for a run
   (metrics, leakage histograms, span summary, optional certification
-  and bench sections).
+  section).
 * ``store``   — inspect and maintain the content-addressed result
-  store (``path``/``ls``/``verify``/``gc``).  ``run``, ``sweep``,
-  ``certify``, and ``bench record`` additionally accept
-  ``--store [DIR]``/``--no-store`` to reuse cached results across
-  sessions (default location ``~/.cache/repro-store`` or
-  ``REPRO_STORE_DIR``).
+  store (``path``/``ls``/``verify``/``gc``).  ``run``, ``sweep``, and
+  ``certify`` additionally accept ``--store [DIR]``/``--no-store`` to
+  reuse cached results across sessions (default location
+  ``~/.cache/repro-store`` or ``REPRO_STORE_DIR``).
+
+Performance is measured outside the CLI, by the repository benchmark
+(``perfbench/README.md``, declared in ``BENCHMARK.json``).
 
 ``--log-level`` arms structured JSON-lines logging on stderr for every
 command.  Any :class:`~repro.errors.ReproError` (bad config, malformed
@@ -93,6 +92,26 @@ def _nonneg_float(text: str) -> float:
             f"expected a number >= 0, got {text!r}"
         )
     return value
+
+
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``--workers``/``--checkpoint``/``--fresh`` trio shared by the
+    batch commands (``sweep``, ``certify``)."""
+    parser.add_argument(
+        "--workers", type=_positive_int, default=1,
+        help="worker processes (default 1; output is byte-identical "
+             "at any count)",
+    )
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="JSON checkpoint; a killed run resumes without re-running "
+             "finished jobs (certify: single-scheme runs)",
+    )
+    parser.add_argument(
+        "--fresh", action="store_true",
+        help="discard any existing checkpoint instead of resuming "
+             "(escape hatch for corrupt files)",
+    )
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -606,39 +625,6 @@ def cmd_certify(args) -> int:
     return 0 if all_certified else 1
 
 
-def cmd_bench_record(args) -> int:
-    """Run the pinned benchmark suite and append a ledger entry."""
-    from . import bench
-
-    store = _store_from_args(args)
-    path = bench.record(
-        args.root,
-        accesses=args.accesses,
-        cores=args.cores,
-        seed=args.seed,
-        label=args.label,
-        workers=args.workers,
-        checkpoint=args.checkpoint,
-        fresh=args.fresh,
-        store=store,
-    )
-    if store is not None:
-        print(store.summary(), file=sys.stderr)
-    print(f"recorded: {path}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    """Diff two ledger entries; exit 1 when a metric regresses."""
-    from . import bench
-
-    comparison = bench.compare(
-        args.old, args.new, tolerance=args.tolerance
-    )
-    print(bench.format_comparison(comparison))
-    return 0 if comparison.passed else 1
-
-
 def cmd_store_path(args) -> int:
     """Print the resolved result-store root directory."""
     from .store import resolve_store_root
@@ -719,7 +705,6 @@ def cmd_report(args) -> int:
         args.scheme, config, suite_specs(args.workload, args.cores),
         options, engine=args.engine,
     )
-    telemetry.harvest(result)
     histograms = inter_service_histogram(result.service_trace)
 
     certificate = None
@@ -740,27 +725,12 @@ def cmd_report(args) -> int:
         certificate = run.run(args.scheme, strategies)
         tracer.adopt(run.tracer.records, track="certify")
 
-    comparison = None
-    if args.bench_dir:
-        from . import bench
-
-        entries = bench.ledger_entries(args.bench_dir)
-        if len(entries) >= 2:
-            comparison = bench.compare(entries[-2][1], entries[-1][1])
-        else:
-            print(
-                f"note: {args.bench_dir} holds {len(entries)} ledger "
-                "entries; need 2+ for a bench section",
-                file=sys.stderr,
-            )
-
     document = render_report(
         f"{args.scheme} x {args.workload} — run report",
         registry=telemetry.registry,
         histograms=histograms,
         certificate=certificate,
         span_summary=tracer.summary(),
-        bench_comparison=comparison,
         metadata={
             "scheme": args.scheme,
             "workload": args.workload,
@@ -890,23 +860,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"schemes to sweep ({', '.join(SCHEMES)})")
     p.add_argument("--workloads", nargs="+", default=["mcf"],
                    help="workload/mix names, one grid column each")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="JSON checkpoint; a killed sweep resumes from "
-                        "the last completed cell")
     p.add_argument("--max-cycles", type=int, default=8_000_000,
                    help="per-cell cycle budget")
-    p.add_argument("--fresh", action="store_true",
-                   help="discard any existing checkpoint instead of "
-                        "resuming (escape hatch for corrupt files)")
     p.add_argument("--wall-budget", type=_nonneg_float, default=None,
                    metavar="SECONDS",
                    help="per-cell wall-clock budget; a cell exceeding "
                         "it is recorded as failed instead of hanging")
     p.add_argument("--strict", action="store_true",
                    help="re-raise the first cell failure (CI gate)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for the grid (default 1; "
-                        "results are bit-identical at any count)")
     p.add_argument(
         "--engine", choices=ENGINES, default="fast",
         help="simulation engine for every cell (default fast)",
@@ -922,6 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
              "merged Chrome trace-event JSON (deterministic modulo "
              "wall-clock args at any --workers count)",
     )
+    _add_batch_flags(p)
     _add_store_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -960,21 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
              "are recorded as skipped instead of run",
     )
     p.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="worker processes for the batch (default 1; the "
-             "artifact is byte-identical at any count)",
-    )
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; a killed batch resumes without "
-             "re-running finished strategies (single-scheme runs)",
-    )
-    p.add_argument(
-        "--fresh", action="store_true",
-        help="discard any existing checkpoint instead of resuming "
-             "(escape hatch for corrupt files)",
-    )
-    p.add_argument(
         "--artifact", default=None, metavar="PATH",
         help="write the certification verdicts as JSONL "
              "(deterministic: serial and parallel runs match bytes)",
@@ -997,70 +944,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINES, default="reference",
         help="simulation engine for both worlds (default reference)",
     )
+    _add_batch_flags(p)
     _add_store_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser(
-        "bench", help="performance-regression benchmark ledger"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bench_sub.add_parser(
-        "record",
-        help="run the pinned suite, append BENCH_<n>.json",
-    )
-    b.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="ledger directory (default: current directory)",
-    )
-    b.add_argument(
-        "--accesses", type=int, default=300,
-        help="suite scale: memory accesses per core (default 300)",
-    )
-    b.add_argument(
-        "--cores", type=int, default=4,
-        help="suite scale: cores / security domains (default 4)",
-    )
-    b.add_argument(
-        "--seed", type=int, default=7,
-        help="suite trace seed (default 7)",
-    )
-    b.add_argument(
-        "--label", default="",
-        help="free-form label stored in the entry (e.g. a git sha)",
-    )
-    b.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="worker processes for the suite (default 1; the "
-             "recorded deterministic metrics are identical at any "
-             "count, wall-clock-derived ones are noisier)",
-    )
-    b.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="JSON checkpoint; a killed suite resumes without "
-             "re-running finished cases",
-    )
-    b.add_argument(
-        "--fresh", action="store_true",
-        help="discard any existing checkpoint instead of resuming "
-             "(escape hatch for corrupt files)",
-    )
-    _add_store_flags(b)
-    b.set_defaults(func=cmd_bench_record)
-
-    b = bench_sub.add_parser(
-        "compare",
-        help="diff two ledger entries; exit 1 on regression",
-    )
-    b.add_argument("old", help="baseline BENCH_<n>.json")
-    b.add_argument("new", help="candidate BENCH_<n>.json")
-    b.add_argument(
-        "--tolerance", type=_nonneg_float, default=None, metavar="FRAC",
-        help="relative move treated as noise (default 0.15, or the "
-             "REPRO_BENCH_TOLERANCE environment variable)",
-    )
-    b.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser(
         "store", help="content-addressed result-store maintenance"
@@ -1127,11 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-cycles", type=int, default=2_000_000,
         help="per-world cycle budget for --certify (default 2M)",
-    )
-    p.add_argument(
-        "--bench-dir", default=None, metavar="DIR",
-        help="benchmark ledger directory; includes the delta between "
-             "its two newest entries",
     )
     p.add_argument(
         "--engine", choices=ENGINES, default="fast",

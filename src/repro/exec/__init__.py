@@ -1,9 +1,9 @@
 """The deterministic execution substrate.
 
 One fan-out / checkpoint / merge recipe under every long-running batch
-in the repository — parallel sweep grids (:class:`~repro.sim.sweep.Sweep`),
-certification batches (:class:`~repro.certify.harness.CertificationRun`),
-and the benchmark suite (:mod:`repro.bench`).  The scheduler
+in the repository — parallel sweep grids (:class:`~repro.sim.sweep.Sweep`)
+and certification batches
+(:class:`~repro.certify.harness.CertificationRun`).  The scheduler
 side-channel literature is blunt about why this layer exists: the
 experiment harness — trial fan-out, pairing, aggregation — is where
 subtle nondeterminism corrupts leakage estimates, so the repository has
@@ -33,9 +33,13 @@ serial run, and a killed batch resumes from its checkpoint to the same
 bytes an uninterrupted run writes.
 
 Layering: this package imports nothing from :mod:`repro.sim`,
-:mod:`repro.certify`, :mod:`repro.bench`, or :mod:`repro.store` —
-consumers (and the result store) adapt *onto* the substrate, never the
-other way around (CI greps the DAG).
+:mod:`repro.certify`, or :mod:`repro.store` — consumers (and the result
+store) adapt *onto* the substrate, never the other way around (CI greps
+the DAG).
+
+The cost of these batches is measured by the repository benchmark
+(``perfbench/README.md``, workloads declared in ``BENCHMARK.json``),
+whose ``certify`` workload times the runner and checkpoint layers.
 """
 
 from .checkpoint import CheckpointStore

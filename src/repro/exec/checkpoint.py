@@ -1,7 +1,6 @@
 """Schema-versioned atomic JSON checkpointing for long batches.
 
-One checkpoint recipe shared by sweeps, certification batches, and the
-benchmark suite:
+One checkpoint recipe shared by sweeps and certification batches:
 
 * **atomic writes** — each save lands in a ``tempfile.mkstemp`` file in
   the target directory and is published with ``os.replace``, so a kill

@@ -1,7 +1,7 @@
 """Worker-pool lifecycle for the execution substrate.
 
 One process-pool recipe for every simulation fan-out in the repository
-(parallel sweep grids, certification batches, the benchmark suite):
+(parallel sweep grids and certification batches):
 
 * **spawn start method** — fork would duplicate parent state (schedule
   template caches, telemetry registries, open sinks) into workers and
@@ -33,7 +33,7 @@ def validate_workers(workers: int) -> int:
 
     Raises :class:`~repro.errors.ConfigError` for anything that is not
     an integer >= 1 — shared by every consumer so ``workers=0`` fails
-    the same way on a sweep, a certification batch, and a bench run.
+    the same way on a sweep and a certification batch.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ConfigError(

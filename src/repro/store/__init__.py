@@ -1,7 +1,7 @@
 """Content-addressed result store for cross-session reuse.
 
 Fixed-service schedules are deterministic functions of their inputs, so
-every sweep cell, certification trial, and bench job is a pure function
+every sweep cell and certification trial is a pure function
 of its payload — computed once, correct forever.  This package caches
 those results on disk across sessions:
 

@@ -1,6 +1,6 @@
 """Persistent content-addressed cache for :mod:`repro.exec` job results.
 
-Every sweep cell, certification trial, and bench job in this project is
+Every sweep cell and certification trial in this project is
 a pure function of its payload (the paper's fixed-service schedules are
 *deterministic* by construction — that is the whole point), so a result
 computed once is correct forever.  :class:`ResultStore` keeps the raw
@@ -36,6 +36,10 @@ checkpoints, artifacts, and metrics snapshots.  Store *activity*
 (hit/miss/bypass tallies, lookup spans) stays in the store's own
 registry and tracer, never in consumer artifacts, precisely so a warm
 artifact cannot be distinguished from a cold one.
+
+Timings taken against a warm store describe the machine that populated
+it; the repository benchmark (``perfbench/README.md``, workloads
+declared in ``BENCHMARK.json``) therefore runs with no store attached.
 """
 
 from __future__ import annotations

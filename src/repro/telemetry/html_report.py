@@ -2,13 +2,13 @@
 
 Renders everything the observatory knows about one simulated scheme —
 metrics snapshot, per-domain inter-service (leakage) histograms,
-certification verdicts, span flamegraph summary, and benchmark-ledger
-deltas — into a single HTML file with inline CSS and no external
-resources, so the artifact can be archived from CI and opened anywhere.
+certification verdicts, and span flamegraph summary — into a single
+HTML file with inline CSS and no external resources, so the artifact
+can be archived from CI and opened anywhere.
 
 Everything is standard library: :mod:`html` for escaping, CSS bar
 charts for histograms (no JS, no plotting dependency).  Sections whose
-inputs are absent (no certificate, no ledger) are omitted rather than
+inputs are absent (e.g. no certificate) are omitted rather than
 rendered empty.
 """
 
@@ -191,32 +191,6 @@ def _spans_section(summary: List[Dict[str, object]]) -> str:
     )
 
 
-def _bench_section(comparison) -> str:
-    rows = []
-    for d in comparison.deltas:
-        verdict = (
-            '<td class="fail">REGRESSION</td>' if d.regression
-            else '<td class="pass">ok</td>'
-        )
-        rows.append([
-            _td(d.name), _td(d.old, "num"), _td(d.new, "num"),
-            _td(f"{d.rel_change:+.1%}", "num"), verdict,
-        ])
-    meta = (
-        f'<p class="meta">{_esc(comparison.old_label)} → '
-        f"{_esc(comparison.new_label)} · tolerance "
-        f"{comparison.tolerance:.0%}</p>"
-    )
-    status = (
-        '<p class="pass">no regressions</p>' if comparison.passed else
-        f'<p class="fail">{len(comparison.regressions)} '
-        f"regression(s)</p>"
-    )
-    return meta + status + _table(
-        ["metric", "old", "new", "change", "verdict"], rows
-    )
-
-
 # ----------------------------------------------------------------------
 # Entry point.
 # ----------------------------------------------------------------------
@@ -227,7 +201,6 @@ def render_report(
     histograms: Optional[Dict[int, Dict[int, int]]] = None,
     certificate=None,
     span_summary: Optional[List[Dict[str, object]]] = None,
-    bench_comparison=None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> str:
     """Build the whole self-contained HTML document as a string.
@@ -262,11 +235,6 @@ def render_report(
     if span_summary is not None:
         sections.append(_section(
             "Span flamegraph summary", _spans_section(span_summary)
-        ))
-    if bench_comparison is not None:
-        sections.append(_section(
-            "Benchmark ledger deltas",
-            _bench_section(bench_comparison),
         ))
     body = "\n".join(sections) or "<p>Nothing to report.</p>"
     return (

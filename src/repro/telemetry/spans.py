@@ -341,7 +341,7 @@ def scrub_volatile_args(trace: Dict[str, object]) -> Dict[str, object]:
     Strips ``args`` keys prefixed ``wall_`` from every event (the one
     namespace allowed to carry wall-clock values) — what the worker-
     count byte-identity contract compares (``tests/test_sweep_parallel
-    .py`` and the CI ``bench-ledger`` job dump the scrubbed dict with
+    .py`` and the CI ``observatory`` job dump the scrubbed dict with
     sorted keys and ``cmp`` the bytes).
     """
     import copy

@@ -23,7 +23,7 @@ PACKAGES = [
     "repro.cpu", "repro.workloads", "repro.cache", "repro.mapping",
     "repro.prefetch", "repro.sim", "repro.analysis",
     "repro.exec", "repro.telemetry", "repro.schemes", "repro.certify",
-    "repro.bench", "repro.store",
+    "repro.store",
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -11,8 +11,8 @@ Four groups of properties:
   auxiliaries, wall-clock budgets;
 * **kill/resume** — a batch killed mid-run (its checkpoint holds a
   prefix of the merges) resumes to byte-identical final checkpoints and
-  artifacts, parameterized over all three consumers (sweep, certify,
-  bench) and both engines.  The merged span *trace* of a resumed run is
+  artifacts, parameterized over both consumers (sweep, certify) and
+  both engines.  The merged span *trace* of a resumed run is
   deliberately not byte-compared: skipped (already-checkpointed) cells
   produce no spans, so only uninterrupted runs' traces are comparable —
   that property is pinned by the per-consumer parallel tests instead;
@@ -444,38 +444,6 @@ class TestKillResumeByteIdentity:
         assert artifacts[0] == artifacts[1]
         assert cert_resumed.verdicts == cert_full.verdicts
 
-    def test_bench_resume_preserves_completed_cases(self, tmp_path):
-        """Bench metrics are wall-clock throughputs (noisy by nature),
-        so the resume property is: carried-over cases survive verbatim
-        (proving the skip), the suite order and metric names match, and
-        the one deterministic metric is value-identical."""
-        from repro import bench
-
-        scale = dict(accesses=40, cores=2, seed=3)
-        ck_full = str(tmp_path / "bench_full.json")
-        metrics_full = bench.run_suite(checkpoint=ck_full, **scale)
-
-        with open(ck_full) as handle:
-            data = json.load(handle)
-        carried = dict(list(data["cases"].items())[:2])
-        ck_res = str(tmp_path / "bench_part.json")
-        CheckpointStore(
-            ck_res, bench.CHECKPOINT_VERSION,
-            batch_key=data["batch_key"],
-        ).save({"cases": carried})
-
-        metrics_resumed = bench.run_suite(checkpoint=ck_res, **scale)
-        with open(ck_res) as handle:
-            final = json.load(handle)
-        for key, value in carried.items():
-            assert final["cases"][key] == value  # not re-run
-        assert [m.name for m in metrics_resumed] == \
-            [m.name for m in metrics_full]
-        deterministic = "template_cache_hit_rate"
-        assert {m.name: m.value for m in metrics_resumed}[
-            deterministic
-        ] == {m.name: m.value for m in metrics_full}[deterministic]
-
 
 # ----------------------------------------------------------------------
 # Corrupt checkpoints and the --fresh escape hatch, per consumer.
@@ -513,15 +481,6 @@ class TestCorruptCheckpoints:
         with pytest.raises(ExecError, match="cannot be parsed"):
             run.run("fs_rp", strategies)
 
-    def test_bench_refuses_corrupt_checkpoint(self, tmp_path):
-        from repro import bench
-
-        path = _write_corrupt(tmp_path)
-        with pytest.raises(ExecError, match="cannot be parsed"):
-            bench.run_suite(
-                accesses=40, cores=2, seed=3, checkpoint=path
-            )
-
     def test_incompatible_version_still_silently_fresh(self, tmp_path):
         """The old contract survives the refactor: a checkpoint written
         by a *different schema* (not corrupt) is discarded silently."""
@@ -539,17 +498,10 @@ class TestCorruptCheckpoints:
 
 
 # ----------------------------------------------------------------------
-# Compatibility shims and CLI validation.
+# Package exports and CLI validation.
 # ----------------------------------------------------------------------
 
 class TestCompatAndCli:
-    def test_sim_sweep_worker_pool_is_deprecated_reexport(self):
-        from repro.sim import sweep as sweep_mod
-
-        with pytest.warns(DeprecationWarning, match="repro.exec"):
-            pool = sweep_mod.worker_pool(1)
-        pool.shutdown(wait=False)
-
     def test_exec_error_exported_at_package_root(self):
         import repro
 
@@ -562,8 +514,6 @@ class TestCompatAndCli:
         ["sweep", "--wall-budget", "-1"],
         ["certify", "--workers", "-3"],
         ["certify", "--budget", "nope"],
-        ["bench", "record", "--workers", "1.5"],
-        ["bench", "compare", "a", "b", "--tolerance", "-0.1"],
     ])
     def test_cli_rejects_bad_numbers_with_exit_2(self, argv, capsys):
         from repro.cli import main
@@ -580,7 +530,7 @@ class TestCompatAndCli:
         assert parser.parse_args(["sweep", "--fresh"]).fresh
         assert parser.parse_args(["certify", "--fresh"]).fresh
         args = parser.parse_args(
-            ["bench", "record", "--workers", "2", "--fresh"]
+            ["sweep", "--workers", "2", "--fresh"]
         )
         assert args.fresh and args.workers == 2
 

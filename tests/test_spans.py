@@ -258,3 +258,25 @@ def test_render_report_escapes_html():
     assert "<img" not in document
     assert "&lt;script&gt;" in document
     assert render_report("empty").count("Nothing to report") == 1
+
+
+def test_cli_report_harvests_once(tmp_path, monkeypatch):
+    """``run_scheme`` already harvests into the session; a second
+    harvest in ``repro report`` would double every counter."""
+    from repro.cli import main
+
+    calls = []
+    harvest = TelemetrySession.harvest
+
+    def counting_harvest(self, *args, **kwargs):
+        calls.append(args)
+        return harvest(self, *args, **kwargs)
+
+    monkeypatch.setattr(TelemetrySession, "harvest", counting_harvest)
+    out = tmp_path / "r.html"
+    assert main([
+        "report", "fs_rp", "mix1", "--cores", "2", "--accesses", "40",
+        "--output", str(out),
+    ]) == 0
+    assert len(calls) == 1
+    assert "Metrics snapshot" in out.read_text()
