@@ -18,6 +18,7 @@ partitioning lives in :mod:`repro.core.fs_reordered`.
 
 from __future__ import annotations
 
+import abc
 import heapq
 import itertools
 from collections import OrderedDict
@@ -38,7 +39,7 @@ from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import EnergyAdjustments, FsEnergyOptions
 from .pipeline_solver import SharingLevel
-from .schedule import CommandTimes, FixedServiceSchedule, SlotSpec
+from .schedule import CommandTimes, FixedServiceSchedule
 from .shaping import DomainHazardTracker, DummyGenerator
 
 
@@ -76,7 +77,102 @@ class PrefetchBuffer:
         return self.hits / self.fills
 
 
-class FixedServiceController(MemoryController):
+class StagedIssueController(MemoryController):
+    """Command staging and issue shared by the Fixed Service controllers.
+
+    A slot decision stages its commands at their fixed cycles, and
+    ``_work`` issues them in time order between later decisions.  A
+    staged entry is the tuple ``(cycle, seq, type, rank, bank, row,
+    request id, domain)`` on this controller's channel; the
+    :class:`~repro.dram.commands.Command` itself is built only where
+    something reads it: the checked channel path, the command log, the
+    online monitor or telemetry.
+    """
+
+    #: Whether staged commands go through the channel's counter-only
+    #: trusted path (the fast engine), which reserves no bus slots.
+    trusted_issue = False
+
+    def __init__(self, dram: DramSystem, num_domains: int,
+                 log_commands: bool = False) -> None:
+        super().__init__(dram, num_domains, log_commands)
+        self._staged: List[Tuple] = []
+        self._stage_seq = itertools.count()
+        self._last_issued_key: Optional[Tuple] = None
+
+    def _stage(self, cycle: int, ctype: CommandType, rank: int,
+               bank: int = -1, row: int = -1, request_id: int = -1,
+               domain: int = -1) -> None:
+        heapq.heappush(self._staged, (
+            cycle, next(self._stage_seq), ctype, rank, bank, row,
+            request_id, domain,
+        ))
+
+    def _duplicate(self, entry: Tuple) -> bool:
+        """Issue-path guard: squash a command identical to the one just
+        issued (fault model ``duplicate_command``) before it can collide
+        on the command bus or disturb bank state.  Without a fault
+        injector no command is ever staged twice, so ``_work`` asks only
+        when one is armed."""
+        key = entry[2:6] + (entry[0],)
+        if key == self._last_issued_key:
+            self.stats.squashed_duplicates += 1
+            return True
+        self._last_issued_key = key
+        return False
+
+    def _issue_staged(self, entry: Tuple) -> None:
+        """Issue a staged command through the checked channel path."""
+        cycle, _, ctype, rank, bank, row, request_id, domain = entry
+        self._issue(Command(
+            ctype, cycle, self.channel_id, rank, bank, row, request_id,
+            domain,
+        ))
+
+    @abc.abstractmethod
+    def _next_decision(self) -> int:
+        """Cycle at which the next undecided slot is decided."""
+
+    @abc.abstractmethod
+    def _decide_next(self) -> int:
+        """Decide that slot; return the next one's decision cycle."""
+
+    def next_event(self) -> Optional[int]:
+        """A fixed schedule always has a next decision; report the
+        sooner of it, the next staged command, and the next release."""
+        t = self._next_decision()
+        if self._staged and self._staged[0][0] < t:
+            t = self._staged[0][0]
+        if self._release_heap and self._release_heap[0][0] < t:
+            t = self._release_heap[0][0]
+        return t if t > self.now else self.now + 1
+
+    def _work(self, until: int) -> None:
+        """Decide and issue staged commands in time order; a decision
+        comes before any command staged for the same cycle."""
+        staged = self._staged
+        issue = self._issue_staged
+        guard = self.fault_injector is not None
+        decide_at = self._next_decision()
+        while True:
+            staged_at = staged[0][0] if staged else None
+            if decide_at <= until and (
+                staged_at is None or decide_at <= staged_at
+            ):
+                decide_at = self._decide_next()
+                continue
+            if staged_at is not None and staged_at <= until:
+                entry = heapq.heappop(staged)
+                if not (guard and self._duplicate(entry)):
+                    issue(entry)
+                continue
+            break
+        if not self.trusted_issue:
+            # Checked issue reserves bus slots; drop the stale ones.
+            self.dram.channels[self.channel_id].prune(self.now)
+
+
+class FixedServiceController(StagedIssueController):
     """FS scheduling over a validated slot timetable."""
 
     #: How deep to scan a domain's queue for a legal transaction when the
@@ -88,7 +184,6 @@ class FixedServiceController(MemoryController):
     #: transaction queue can be relatively small because it is largely
     #: in-order"); a full queue back-pressures the owning core only.
     QUEUE_CAPACITY = 64
-
     def __init__(
         self,
         dram: DramSystem,
@@ -129,18 +224,25 @@ class FixedServiceController(MemoryController):
         self._last_row: Dict[int, Dict[Tuple[int, int], int]] = {
             d: {} for d in range(self.num_domains)
         }
-        #: Staged commands, applied to the channel in time order.
-        self._staged: List[Tuple[int, int, Command]] = []
-        self._stage_seq = itertools.count()
         self._next_slot = 0
         #: Optional fault-injection oracle; every predicate it answers is
         #: a pure function of (seed, domain, the domain's own progress),
         #: so faults cannot carry information between domains.
         self.fault_injector = fault_injector
-        self._last_issued_key: Optional[Tuple] = None
+        # Slot tables: command times are pure functions of the anchor,
+        # so one interval's anchors and the per-direction command
+        # offsets are all a slot decision needs.
+        self._slot_domain = [s.domain for s in schedule.slots]
+        self._slot_bank_mod = [s.bank_mod for s in schedule.slots]
+        self._anchor_base = [schedule.anchor(0, s) for s in schedule.slots]
+        self._rel_read = schedule.command_times(0, True)
+        self._rel_write = schedule.command_times(0, False)
         # Decisions must lead the earliest possible command of a slot.
-        self._decision_lead = self._earliest_command_offset()
+        self._decision_lead = min(
+            self._rel_read.first, self._rel_write.first
+        )
         self.refresh = refresh
+        self._refresh_on = refresh is not None and refresh.enabled
         #: Domain -> ranks it owns on this channel (refresh suppression).
         self._domain_ranks: Dict[int, Tuple[int, ...]] = {
             d: tuple(sorted({
@@ -149,7 +251,7 @@ class FixedServiceController(MemoryController):
             }))
             for d in range(self.num_domains)
         }
-        if self.refresh is not None and self.refresh.enabled:
+        if self._refresh_on:
             if schedule.sharing is not SharingLevel.RANK:
                 raise ValueError(
                     "deterministic refresh is only supported with rank "
@@ -165,11 +267,6 @@ class FixedServiceController(MemoryController):
 
     # ------------------------------------------------------------------
 
-    def _earliest_command_offset(self) -> int:
-        read = self.schedule.command_times(0, True)
-        write = self.schedule.command_times(0, False)
-        return min(read.first, write.first)
-
     def _free_command_residues(self) -> List[int]:
         """Cycle residues (mod the slot gap) no FS command ever uses.
 
@@ -180,8 +277,7 @@ class FixedServiceController(MemoryController):
         """
         l = self.schedule.slot_gap
         used = set()
-        for is_read in (True, False):
-            rel = self.schedule.command_times(0, is_read)
+        for rel in (self._rel_read, self._rel_write):
             used.add(rel.act % l)
             used.add(rel.col % l)
         return [r for r in range(l) if r not in used]
@@ -229,22 +325,37 @@ class FixedServiceController(MemoryController):
                     - (cycle - self.schedule.lead)
                 ) % l
                 cycle += shift
-                self._stage(Command(
-                    CommandType.REFRESH, cycle, self.channel_id, rank
-                ))
+                self._stage(cycle, CommandType.REFRESH, rank)
                 self.stat_refreshes += 1
                 self._next_ref_windows[rank] = self.refresh.next_refresh(
                     rank, window.start + 1
                 )
 
-    def _slot_geometry(self, g: int) -> Tuple[int, SlotSpec, int]:
-        interval, idx = divmod(g, self.schedule.slots_per_interval)
-        spec = self.schedule.slots[idx]
-        return interval, spec, self.schedule.anchor(interval, spec)
+    def _next_decision(self) -> int:
+        interval, idx = divmod(self._next_slot, len(self._anchor_base))
+        return (
+            interval * self.schedule.interval_length
+            + self._anchor_base[idx] + self._decision_lead
+        )
 
-    def _decide_cycle(self, g: int) -> int:
-        _, _, anchor = self._slot_geometry(g)
-        return anchor + self._decision_lead
+    def _decide_next(self) -> int:
+        g = self._next_slot
+        nslots = len(self._anchor_base)
+        interval, idx = divmod(g, nslots)
+        base = interval * self.schedule.interval_length
+        self._decide_slot(g, idx, base + self._anchor_base[idx])
+        self._next_slot = g + 1
+        idx += 1
+        if idx == nslots:
+            idx = 0
+            base += self.schedule.interval_length
+        return base + self._anchor_base[idx] + self._decision_lead
+
+    def _times(self, anchor: int, is_read: bool) -> CommandTimes:
+        rel = self._rel_read if is_read else self._rel_write
+        return CommandTimes(
+            anchor + rel.act, anchor + rel.col, anchor + rel.data
+        )
 
     # ------------------------------------------------------------------
     # MemoryController interface.
@@ -301,16 +412,6 @@ class FixedServiceController(MemoryController):
             )
         return len(self._queues[domain]) < capacity
 
-    def next_event(self) -> Optional[int]:
-        """FS always has a next slot; report the sooner of the next slot
-        decision, the next staged command, and the next release."""
-        candidates = [self._decide_cycle(self._next_slot)]
-        if self._staged:
-            candidates.append(self._staged[0][0])
-        if self._release_heap:
-            candidates.append(self._release_heap[0][0])
-        return max(self.now + 1, min(candidates))
-
     def busy(self) -> bool:
         """Outstanding *demand* work; dummy slots alone never count (the
         FS pipeline ticks forever, but there is nothing left to wait for)."""
@@ -319,117 +420,137 @@ class FixedServiceController(MemoryController):
         )
 
     def _work(self, until: int) -> None:
-        if self.refresh is not None and self.refresh.enabled:
+        if self._refresh_on:
             self._pump_refreshes(until + self.schedule.interval_length)
-        while True:
-            decide_at = self._decide_cycle(self._next_slot)
-            staged_at = self._staged[0][0] if self._staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_slot(self._next_slot)
-                self._next_slot += 1
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(self._staged)
-                key = (
-                    command.type, command.cycle, command.channel,
-                    command.rank, command.bank, command.row,
-                )
-                if key == self._last_issued_key:
-                    # Issue-path guard: a duplicated command (fault model
-                    # ``duplicate_command``) is squashed before it can
-                    # collide on the command bus or disturb bank state.
-                    self.stats.squashed_duplicates += 1
-                    continue
-                self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
+        super()._work(until)
 
     # ------------------------------------------------------------------
     # Slot decisions.
     # ------------------------------------------------------------------
 
-    def _decide_slot(self, g: int) -> None:
-        interval, spec, anchor = self._slot_geometry(g)
-        domain = spec.domain
+    def _decide_slot(self, g: int, idx: int, anchor: int) -> None:
+        """Fill global slot ``g`` (position ``idx`` of its interval).
+
+        The slot gets, in order of preference: the first legal demand of
+        the domain's queue, a prefetch, a power-down (energy option), a
+        dummy, or a bubble.  Command times are computed at most once per
+        direction and passed down.
+        """
+        domain = self._slot_domain[idx]
         decide_at = anchor + self._decision_lead
-        if self.refresh is not None and self.refresh.enabled:
-            if any(
-                self._refresh_blackout(rk, anchor)
-                for rk in self._domain_ranks[domain]
-            ):
-                self.stats.bubbles += 1
-                self._trace(domain, anchor, "-")
-                return
-        injector = self.fault_injector
-        if injector is not None:
-            if injector.refresh_collision(domain, g):
-                # A spurious refresh blackout: the slot becomes a bubble
-                # (exactly what a real blackout produces) and the demand
-                # stays queued for the domain's next slot.
-                injector.record(
-                    FaultKind.REFRESH_COLLISION, domain, anchor,
-                    "spurious refresh blackout",
-                )
-                self.stats.faulted_slots += 1
-                self.stats.bubbles += 1
-                self._trace(domain, anchor, "-")
-                return
-            if injector.delay_slot(domain, g):
-                # Slot logic stalled for one slot: externally the slot
-                # looks exactly like an empty-queue slot (dummy or
-                # bubble); the demand is served at the domain's next
-                # slot, never a borrowed one.
-                injector.record(
-                    FaultKind.DELAY_SLOT, domain, anchor,
-                    "slot service delayed to next own slot",
-                )
-                self.stats.faulted_slots += 1
-                self._fill_like_empty(domain, spec, anchor, decide_at)
-                return
-            if injector.borrow_foreign_slot(domain, g) and \
-                    self._borrow_foreign(domain, spec, anchor, decide_at):
-                return
-        request = self._select_demand(domain, spec, anchor, decide_at)
-        if request is not None:
-            self._queues[domain].remove(request)
-            self._dispatch(request, spec, anchor)
+        if self._refresh_on and any(
+            self._refresh_blackout(rk, anchor)
+            for rk in self._domain_ranks[domain]
+        ):
+            self.stats.bubbles += 1
+            self._trace(domain, anchor, "-")
             return
-        if any(r.arrival <= decide_at for r in self._queues[domain]):
-            self.stats.blocked_slots += 1
-        prefetch = self._select_prefetch(domain, spec, anchor, decide_at)
-        if prefetch is not None:
-            self._dispatch(prefetch, spec, anchor)
+        if self.fault_injector is not None and self._fault_slot(
+            g, idx, domain, anchor, decide_at
+        ):
+            return
+        bank_mod = self._slot_bank_mod[idx]
+        read_times = None
+        queue = self._queues[domain]
+        if queue:
+            tracker = self._hazards[domain]
+            write_times = None
+            visible = False
+            scanned = 0
+            for i, request in enumerate(queue):
+                if request.arrival > decide_at:
+                    continue
+                visible = True
+                address = request.address
+                if bank_mod is not None and address.bank % 3 != bank_mod:
+                    # The class filter is a cheap tag compare ("scan a
+                    # few bits in one queue", Section 5.1); it does not
+                    # consume the hazard-check scan budget.
+                    continue
+                scanned += 1
+                if scanned > self.SCAN_DEPTH:
+                    break
+                is_read = request.is_read
+                if is_read:
+                    if read_times is None:
+                        read_times = self._times(anchor, True)
+                    times = read_times
+                else:
+                    if write_times is None:
+                        write_times = self._times(anchor, False)
+                    times = write_times
+                if tracker.legal(times, address, is_read):
+                    del queue[i]
+                    self._dispatch(
+                        domain, anchor, times, address, is_read,
+                        request.kind, request,
+                    )
+                    return
+            if visible:
+                self.stats.blocked_slots += 1
+        if read_times is None:
+            read_times = self._times(anchor, True)
+        prefetcher = self.prefetchers.get(domain)
+        if prefetcher is not None and self._dispatch_prefetch(
+            prefetcher, domain, bank_mod, anchor, decide_at, read_times
+        ):
             return
         if self.energy_options.power_down_idle and \
-                self._try_power_down(domain, spec, anchor):
+                self._try_power_down(domain, anchor):
             return
-        dummy = self._select_dummy(domain, spec, anchor, decide_at)
-        if dummy is not None:
-            self._dispatch(dummy, spec, anchor)
-            return
+        self._fill_idle(domain, bank_mod, anchor, read_times)
+
+    def _fill_idle(self, domain: int, bank_mod: Optional[int],
+                   anchor: int, read_times: CommandTimes) -> None:
+        """Fill a slot as if the domain's queue were empty: a dummy when
+        one is legal, a bubble otherwise."""
+        tracker = self._hazards[domain]
+        for address in self._dummies[domain].candidates(bank_mod):
+            if tracker.legal(read_times, address, True):
+                self._dispatch(
+                    domain, anchor, read_times, address, True,
+                    RequestKind.DUMMY,
+                )
+                return
         self.stats.bubbles += 1
         self._trace(domain, anchor, "-")
 
-    def _fill_like_empty(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
-    ) -> None:
-        """Fill a slot exactly as if the domain's queue were empty: a
-        dummy when legal, a bubble otherwise.  Used by the delay-slot
-        fault path so a fault is externally indistinguishable from an
-        idle slot."""
-        dummy = self._select_dummy(domain, spec, anchor, decide_at)
-        if dummy is not None:
-            self._dispatch(dummy, spec, anchor)
-            return
-        self.stats.bubbles += 1
-        self._trace(domain, anchor, "-")
+    def _fault_slot(self, g: int, idx: int, domain: int, anchor: int,
+                    decide_at: int) -> bool:
+        """Apply the slot-level faults; True when one consumed the slot."""
+        injector = self.fault_injector
+        if injector.refresh_collision(domain, g):
+            # A spurious refresh blackout: the slot becomes a bubble
+            # (exactly what a real blackout produces) and the demand
+            # stays queued for the domain's next slot.
+            injector.record(
+                FaultKind.REFRESH_COLLISION, domain, anchor,
+                "spurious refresh blackout",
+            )
+            self.stats.faulted_slots += 1
+            self.stats.bubbles += 1
+            self._trace(domain, anchor, "-")
+            return True
+        if injector.delay_slot(domain, g):
+            # Slot logic stalled for one slot: externally the slot looks
+            # exactly like an empty-queue slot (dummy or bubble); the
+            # demand is served at the domain's next slot, never a
+            # borrowed one.
+            injector.record(
+                FaultKind.DELAY_SLOT, domain, anchor,
+                "slot service delayed to next own slot",
+            )
+            self.stats.faulted_slots += 1
+            self._fill_idle(
+                domain, self._slot_bank_mod[idx], anchor,
+                self._times(anchor, True),
+            )
+            return True
+        return injector.borrow_foreign_slot(domain, g) and \
+            self._borrow_foreign(domain, anchor, decide_at)
 
     def _borrow_foreign(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
+        self, domain: int, anchor: int, decide_at: int
     ) -> bool:
         """DELIBERATELY BROKEN recovery policy — test-only.
 
@@ -444,31 +565,31 @@ class FixedServiceController(MemoryController):
         for other in range(self.num_domains):
             if other == domain:
                 continue
-            for request in self._queues[other]:
+            queue = self._queues[other]
+            for i, request in enumerate(queue):
                 if request.arrival > decide_at:
                     continue
                 # Stay JEDEC-polite (the DRAM model would reject the
                 # commands outright otherwise): the breakage here is the
                 # *schedule* invariant, which only the watchdog sees.
-                times = self.schedule.command_times(
-                    anchor, request.is_read
-                )
+                times = self._times(anchor, request.is_read)
                 if not self._hazards[other].legal(
                     times, request.address, request.is_read
                 ):
                     continue
-                self._queues[other].remove(request)
-                if self.fault_injector is not None:
-                    self.fault_injector.record(
-                        FaultKind.BORROW_FOREIGN_SLOT, other, anchor,
-                        f"served in domain {domain}'s slot",
-                    )
-                self._dispatch(request, spec, anchor)
+                del queue[i]
+                self.fault_injector.record(
+                    FaultKind.BORROW_FOREIGN_SLOT, other, anchor,
+                    f"served in domain {domain}'s slot",
+                )
+                self._dispatch(
+                    other, anchor, times, request.address,
+                    request.is_read, request.kind, request,
+                )
                 return True
         return False
 
-    def _try_power_down(self, domain: int, spec: SlotSpec,
-                        anchor: int) -> bool:
+    def _try_power_down(self, domain: int, anchor: int) -> bool:
         """Energy optimization 3 (Section 5.2): instead of a dummy,
         power the rank down for the rest of the interval and wake it up
         before the domain's next slot.
@@ -482,14 +603,14 @@ class FixedServiceController(MemoryController):
         l = self.schedule.slot_gap
         ranks = self._domain_ranks[domain]
         if len(ranks) != 1 or \
-                len(self.schedule.slots_of_domain(domain)) != 1:
+                self._slot_domain.count(domain) != 1:
             return False  # only the canonical one-rank/one-slot layout
         residues = self._free_command_residues()
         if len(residues) < 3:
             return False
         rank = ranks[0]
         next_anchor = anchor + self.schedule.interval_length
-        if self.refresh is not None and self.refresh.enabled:
+        if self._refresh_on:
             window = self.refresh.next_refresh(
                 rank, max(0, anchor - p.tRFC - 64)
             )
@@ -513,57 +634,26 @@ class FixedServiceController(MemoryController):
             pup -= 1
         if pup - pdn < p.tCKE + p.tXP:
             return False
-        self._stage(Command(
-            CommandType.POWER_DOWN, pdn, self.channel_id, rank
-        ))
-        self._stage(Command(
-            CommandType.POWER_UP, pup, self.channel_id, rank
-        ))
+        self._stage(pdn, CommandType.POWER_DOWN, rank)
+        self._stage(pup, CommandType.POWER_UP, rank)
         self._trace(domain, anchor, "p")
         return True
 
-    def _select_demand(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
-    ) -> Optional[Request]:
+    def _dispatch_prefetch(
+        self, prefetcher, domain: int, bank_mod: Optional[int],
+        anchor: int, decide_at: int, read_times: CommandTimes,
+    ) -> bool:
+        """Carry the first legal prefetch candidate in this slot."""
         tracker = self._hazards[domain]
-        scanned = 0
-        for request in self._queues[domain]:
-            if request.arrival > decide_at:
-                continue
-            if spec.bank_mod is not None and (
-                request.address.bank % 3 != spec.bank_mod
-            ):
-                # The class filter is a cheap tag compare ("scan a few
-                # bits in one queue", Section 5.1); it does not consume
-                # the hazard-check scan budget.
-                continue
-            scanned += 1
-            if scanned > self.SCAN_DEPTH:
-                break
-            times = self.schedule.command_times(anchor, request.is_read)
-            if tracker.legal(times, request.address, request.is_read):
-                return request
-        return None
-
-    def _select_prefetch(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
-    ) -> Optional[Request]:
-        prefetcher = self.prefetchers.get(domain)
-        if prefetcher is None:
-            return None
-        tracker = self._hazards[domain]
-        times = self.schedule.command_times(anchor, True)
         for line in prefetcher.claim_candidates():
             address = self.partition.decode(domain, line)
             if address.channel != self.channel_id:
                 continue
-            if spec.bank_mod is not None and address.bank % 3 != (
-                spec.bank_mod
-            ):
+            if bank_mod is not None and address.bank % 3 != bank_mod:
                 continue
-            if not tracker.legal(times, address, True):
+            if not tracker.legal(read_times, address, True):
                 continue
-            return Request(
+            request = Request(
                 op=OpType.READ,
                 address=address,
                 domain=domain,
@@ -571,36 +661,34 @@ class FixedServiceController(MemoryController):
                 arrival=decide_at,
                 line=line,
             )
-        return None
-
-    def _select_dummy(
-        self, domain: int, spec: SlotSpec, anchor: int, decide_at: int
-    ) -> Optional[Request]:
-        tracker = self._hazards[domain]
-        times = self.schedule.command_times(anchor, True)
-        for address in self._dummies[domain].candidates(spec.bank_mod):
-            if tracker.legal(times, address, True):
-                return Request(
-                    op=OpType.READ,
-                    address=address,
-                    domain=domain,
-                    kind=RequestKind.DUMMY,
-                    arrival=decide_at,
-                )
-        return None
+            self._dispatch(
+                domain, anchor, read_times, address, True,
+                RequestKind.PREFETCH, request,
+            )
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
 
     def _dispatch(
-        self, request: Request, spec: SlotSpec, anchor: int
+        self,
+        domain: int,
+        anchor: int,
+        times: CommandTimes,
+        address: Address,
+        is_read: bool,
+        kind: RequestKind,
+        request: Optional[Request] = None,
     ) -> None:
-        domain = request.domain
-        addr = request.address
-        times = self.schedule.command_times(anchor, request.is_read)
-        self._hazards[domain].commit(times, addr, request.is_read)
+        """Serve one transaction at the slot anchored at ``anchor``.
 
+        ``request`` is ``None`` for a dummy: nothing but its commands,
+        the counters and the service trace ever sees one.
+        """
+        self._hazards[domain].commit(times, address, is_read)
+        stats = self.stats
         injector = self.fault_injector
         if injector is not None and injector.drop_command(domain, anchor):
             # The transaction's commands are lost in transit.  Security-
@@ -611,40 +699,29 @@ class FixedServiceController(MemoryController):
             # which would leak the fault to a co-runner.
             injector.record(
                 FaultKind.DROP_COMMAND, domain, anchor,
-                f"{request.kind.value} commands dropped; "
-                f"retrying next own slot",
+                f"{kind.value} commands dropped; retrying next own slot",
             )
-            self.stats.faulted_slots += 1
-            if request.kind is RequestKind.DEMAND:
+            stats.faulted_slots += 1
+            if kind is RequestKind.DEMAND:
                 self._queues[domain].insert(0, request)
             self._trace(domain, anchor, "F")
             return
 
-        bank_key = (addr.rank, addr.bank)
-        row_hit = self._last_row[domain].get(bank_key) == addr.row
-        self._last_row[domain][bank_key] = addr.row
-        request.row_hit = row_hit
+        rank, bank, row = address.rank, address.bank, address.row
+        last_row = self._last_row[domain]
+        row_hit = last_row.get((rank, bank)) == row
+        last_row[rank, bank] = row
         if row_hit and self.energy_options.boost_row_hits:
             self.adjustments.rowhit_saved_activates += 1
-            self.stats.row_hit_boosts += 1
+            stats.row_hit_boosts += 1
 
-        suppress = (
-            request.kind is RequestKind.DUMMY
-            and self.energy_options.suppress_dummies
-        )
-        if suppress:
-            request.suppressed = True
-            self.stats.suppressed_dummies += 1
+        if kind is RequestKind.DUMMY and \
+                self.energy_options.suppress_dummies:
+            stats.suppressed_dummies += 1
         else:
-            col_type = (
-                CommandType.COL_READ_AP if request.is_read
-                else CommandType.COL_WRITE_AP
-            )
-            act = Command(
-                CommandType.ACTIVATE, times.act, self.channel_id,
-                addr.rank, addr.bank, addr.row, request.req_id, domain,
-            )
-            self._stage(act)
+            req_id = -1 if request is None else request.req_id
+            self._stage(times.act, CommandType.ACTIVATE, rank, bank, row,
+                        req_id, domain)
             if injector is not None and injector.duplicate_command(
                 domain, anchor
             ):
@@ -655,37 +732,35 @@ class FixedServiceController(MemoryController):
                     FaultKind.DUPLICATE_COMMAND, domain, anchor,
                     "ACT staged twice",
                 )
-                self._stage(act)
-            self._stage(Command(
-                col_type, times.col, self.channel_id, addr.rank,
-                addr.bank, addr.row, request.req_id, domain,
-            ))
+                self._stage(times.act, CommandType.ACTIVATE, rank, bank,
+                            row, req_id, domain)
+            self._stage(
+                times.col,
+                CommandType.COL_READ_AP if is_read
+                else CommandType.COL_WRITE_AP,
+                rank, bank, row, req_id, domain,
+            )
 
+        if kind is RequestKind.DUMMY:
+            stats.dummies += 1
+            self._trace(domain, anchor, "D")
+            return
+        request.row_hit = row_hit
         request.issue = times.first
         request.data_start = times.data
         request.completion = times.data + self.params.tBURST
-        self.stats.record_service(request)
-        kind = request.kind
-        if kind is RequestKind.DEMAND:
-            kind_code = "R" if request.is_read else "W"
-        elif kind is RequestKind.PREFETCH:
-            kind_code = "P"
-        else:
-            kind_code = "D"
-        self._trace(domain, anchor, kind_code)
-
-        if request.kind is RequestKind.PREFETCH:
+        if kind is RequestKind.PREFETCH:
+            stats.prefetches += 1
+            self._trace(domain, anchor, "P")
             self.prefetch_buffers[domain].fill(request.line)
-        if request.kind is RequestKind.DEMAND:
+            return
+        if is_read:
+            stats.demand_reads += 1
+            self._trace(domain, anchor, "R")
             prefetcher = self.prefetchers.get(domain)
-            if prefetcher is not None and request.is_read and (
-                request.line is not None
-            ):
+            if prefetcher is not None and request.line is not None:
                 prefetcher.observe(request.line)
-            if request.is_read:
-                self._schedule_release(request, request.completion)
-
-    def _stage(self, command: Command) -> None:
-        heapq.heappush(
-            self._staged, (command.cycle, next(self._stage_seq), command)
-        )
+            self._schedule_release(request, request.completion)
+        else:
+            stats.demand_writes += 1
+            self._trace(domain, anchor, "W")

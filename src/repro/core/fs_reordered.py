@@ -15,28 +15,20 @@ its own queue.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
-from ..controllers.base import MemoryController
-from ..dram.commands import (
-    Command,
-    CommandType,
-    OpType,
-    Request,
-    RequestKind,
-)
+from ..dram.commands import CommandType, Request, RequestKind
 from ..dram.system import DramSystem
 from ..faults import FaultInjector, FaultKind
 from ..mapping.partition import PartitionPolicy
 from .energy_opts import EnergyAdjustments, FsEnergyOptions
+from .fs_controller import StagedIssueController
 from .schedule import CommandTimes, ReorderedBpGeometry, \
     build_reordered_bp_geometry
 from .shaping import DomainHazardTracker, DummyGenerator
 
 
-class ReorderedBpController(MemoryController):
+class ReorderedBpController(StagedIssueController):
     """Interval-batched FS: reads first, writes after, en-masse release."""
 
     SCAN_DEPTH = 8
@@ -72,17 +64,18 @@ class ReorderedBpController(MemoryController):
             d: DummyGenerator(d, partition, channel)
             for d in range(num_domains)
         }
-        self._staged: List[Tuple[int, int, Command]] = []
-        self._stage_seq = itertools.count()
-        self._times_memo: Dict[Tuple[int, bool], CommandTimes] = {}
         self._next_interval = 0
         self.fault_injector = fault_injector
-        self._last_issued_key: Optional[Tuple] = None
+        p = dram.params
         # The earliest command of an interval precedes its first data
         # burst by tRCD + tCAS (a read activate).
-        self._lead = dram.params.tRCD + max(
-            dram.params.tCAS, dram.params.tCWD
-        )
+        self._lead = p.tRCD + max(p.tCAS, p.tCWD)
+        #: Data-burst offset of each position within an interval.
+        self._data_offsets = [
+            self.geometry.data_offset(i) for i in range(num_domains)
+        ]
+        #: Position-independent hazard anchor: the interval's last slot.
+        self._last_offset = self._data_offsets[-1]
 
     # ------------------------------------------------------------------
 
@@ -90,8 +83,13 @@ class ReorderedBpController(MemoryController):
         """Cycle of the interval's first data burst."""
         return self._lead + index * self.geometry.interval_length
 
-    def _decide_cycle(self, index: int) -> int:
-        return self.interval_start(index) - self._lead
+    def _next_decision(self) -> int:
+        return self.interval_start(self._next_interval) - self._lead
+
+    def _decide_next(self) -> int:
+        self._decide_interval(self._next_interval)
+        self._next_interval += 1
+        return self._next_decision()
 
     # ------------------------------------------------------------------
 
@@ -109,79 +107,59 @@ class ReorderedBpController(MemoryController):
             return len(self._queues[domain])
         return sum(map(len, self._queues.values()))
 
-    def next_event(self) -> Optional[int]:
-        candidates = [self._decide_cycle(self._next_interval)]
-        if self._staged:
-            candidates.append(self._staged[0][0])
-        if self._release_heap:
-            candidates.append(self._release_heap[0][0])
-        return max(self.now + 1, min(candidates))
-
     def busy(self) -> bool:
         """Outstanding *demand* work; dummy intervals alone do not count."""
         return bool(
             self._release_heap or any(self._queues.values())
         )
 
-    def _work(self, until: int) -> None:
-        while True:
-            decide_at = self._decide_cycle(self._next_interval)
-            staged_at = self._staged[0][0] if self._staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_interval(self._next_interval)
-                self._next_interval += 1
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(self._staged)
-                key = (
-                    command.type, command.cycle, command.channel,
-                    command.rank, command.bank, command.row,
-                )
-                if key == self._last_issued_key:
-                    # Squash duplicated commands before they reach the
-                    # bus (fault model ``duplicate_command``).
-                    self.stats.squashed_duplicates += 1
-                    continue
-                self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
-
     # ------------------------------------------------------------------
 
     def _decide_interval(self, index: int) -> None:
+        """Pick one transaction per domain, then dispatch every read
+        before every write.  Each distinct command time is computed once
+        and passed down."""
         start = self.interval_start(index)
-        decide_at = self._decide_cycle(index)
-        picks: List[Request] = []
+        decide_at = start - self._lead
+        last_slot = start + self._last_offset
+        release_at = last_slot + self.params.tBURST
+        # Hazard checks use the worst-case placement for the domain's
+        # own history: the earliest slot of this interval.
+        check = (self._times(start, False), self._times(start, True))
+        reads: List[Tuple] = []
+        writes: List[Tuple] = []
         for domain in range(self.num_domains):
-            request = self._pick(domain, start, decide_at, index)
-            if request is not None:
-                picks.append(request)
-            else:
+            pick = self._pick(domain, start, decide_at, index, check)
+            if pick is None:
                 self.stats.bubbles += 1
                 self._trace(domain, start, "-")
+            elif pick[1]:
+                reads.append(pick)
+            else:
+                writes.append(pick)
         # Reads first, then writes; domain order within each group.
-        reads = [r for r in picks if r.is_read]
-        writes = [r for r in picks if not r.is_read]
-        last_slot = start + (
-            (self.geometry.num_domains - 1) * self.geometry.data_gap
-        )
-        last_data_end = last_slot + self.params.tBURST
-        for position, request in enumerate(reads + writes):
-            data_at = start + self.geometry.data_offset(position)
+        # SECURITY: the hazard tracker must never learn a transaction's
+        # slot *position* — positions depend on co-runners' read/write
+        # mix — so every commit uses the position-independent worst case
+        # (the interval's last slot), a pure function of the domain's
+        # own stream.
+        commit = (self._times(last_slot, False),
+                  self._times(last_slot, True))
+        offsets = self._data_offsets
+        for position, pick in enumerate(reads + writes):
+            is_read = pick[1]
             self._dispatch(
-                request, data_at,
-                release_at=last_data_end,
-                hazard_data_at=last_slot,
+                pick, self._times(start + offsets[position], is_read),
+                commit[is_read], release_at,
             )
 
     def _pick(
         self, domain: int, start: int, decide_at: int,
-        interval_index: int = 0,
-    ) -> Optional[Request]:
+        interval_index: int, check: Tuple[CommandTimes, CommandTimes],
+    ) -> Optional[Tuple]:
+        """The domain's transaction for this interval as ``(domain,
+        is_read, address, request)``, ``request`` being ``None`` for a
+        dummy; ``None`` for a bubble."""
         tracker = self._hazards[domain]
         injector = self.fault_injector
         delayed = injector is not None and injector.delay_slot(
@@ -196,81 +174,42 @@ class ReorderedBpController(MemoryController):
                 "interval service delayed to next interval",
             )
             self.stats.faulted_slots += 1
-        scanned = 0
-        for request in self._queues[domain] if not delayed else ():
-            if request.arrival > decide_at:
-                continue
-            scanned += 1
-            if scanned > self.SCAN_DEPTH:
-                break
-            # Hazard check against the worst-case placement for the
-            # domain's own history: the earliest slot of this interval.
-            times = self._times(start, request.is_read)
-            if tracker.legal(times, request.address, request.is_read):
-                self._queues[domain].remove(request)
-                return request
-        times = self._times(start, True)
+        else:
+            queue = self._queues[domain]
+            scanned = 0
+            for i, request in enumerate(queue):
+                if request.arrival > decide_at:
+                    continue
+                scanned += 1
+                if scanned > self.SCAN_DEPTH:
+                    break
+                is_read = request.is_read
+                if tracker.legal(check[is_read], request.address, is_read):
+                    del queue[i]
+                    return (domain, is_read, request.address, request)
         for address in self._dummies[domain].candidates():
-            if tracker.legal(times, address, True):
-                return Request(
-                    op=OpType.READ,
-                    address=address,
-                    domain=domain,
-                    kind=RequestKind.DUMMY,
-                    arrival=decide_at,
-                )
+            if tracker.legal(check[True], address, True):
+                return (domain, True, address, None)
         return None
 
     def _times(self, data_at: int, is_read: bool) -> CommandTimes:
-        # One interval touches the same (data_at, direction) pair ~3x
-        # per transaction (pick scan, hazard commit, dispatch), so a
-        # one-entry memo per direction removes most CommandTimes
-        # constructions.  CommandTimes is an immutable value object;
-        # sharing an instance is observationally identical.
-        cached = self._times_memo.get((data_at, is_read))
-        if cached is not None:
-            return cached
         p = self.params
-        if is_read:
-            times = CommandTimes(
-                act=data_at - p.tRCD - p.tCAS,
-                col=data_at - p.tCAS,
-                data=data_at,
-            )
-        else:
-            times = CommandTimes(
-                act=data_at - p.tRCD - p.tCWD,
-                col=data_at - p.tCWD,
-                data=data_at,
-            )
-        memo = self._times_memo
-        if len(memo) > 8:  # one interval's worth; stays tiny
-            memo.clear()
-        memo[(data_at, is_read)] = times
-        return times
+        col = data_at - (p.tCAS if is_read else p.tCWD)
+        return CommandTimes(col - p.tRCD, col, data_at)
 
     def _dispatch(
         self,
-        request: Request,
-        data_at: int,
+        pick: Tuple,
+        times: CommandTimes,
+        commit_times: CommandTimes,
         release_at: int,
-        hazard_data_at: int,
     ) -> None:
-        domain = request.domain
-        addr = request.address
-        times = self._times(data_at, request.is_read)
-        # SECURITY: the hazard tracker must never learn the transaction's
-        # slot *position* — positions depend on co-runners' read/write mix.
-        # Commit the position-independent worst case (the interval's last
-        # slot): conservative for every future gap check, and a pure
-        # function of the domain's own stream.
-        self._hazards[domain].commit(
-            self._times(hazard_data_at, request.is_read),
-            addr, request.is_read,
-        )
+        domain, is_read, addr, request = pick
+        kind = RequestKind.DUMMY if request is None else request.kind
+        self._hazards[domain].commit(commit_times, addr, is_read)
         injector = self.fault_injector
         # SECURITY: the fault key must be position-independent too —
-        # ``data_at`` encodes the slot position (which depends on the
+        # ``times.data`` encodes the slot position (which depends on the
         # co-runners' read/write mix), so keying the drop on it would
         # let a co-runner modulate the victim's fault schedule.  Key on
         # the interval's release point instead: a pure function of the
@@ -283,53 +222,41 @@ class ReorderedBpController(MemoryController):
             # trace event, and the demand is re-issued in the SAME
             # domain's next interval.
             injector.record(
-                FaultKind.DROP_COMMAND, domain, data_at,
-                f"{request.kind.value} commands dropped; "
+                FaultKind.DROP_COMMAND, domain, times.data,
+                f"{kind.value} commands dropped; "
                 f"retrying next interval",
             )
             self.stats.faulted_slots += 1
-            if request.kind is RequestKind.DEMAND:
+            if kind is RequestKind.DEMAND:
                 self._queues[domain].insert(0, request)
             self._trace(domain, release_at, "F")
             return
-        suppress = (
-            request.kind is RequestKind.DUMMY
-            and self.energy_options.suppress_dummies
-        )
-        if suppress:
-            request.suppressed = True
+        if kind is RequestKind.DUMMY and \
+                self.energy_options.suppress_dummies:
             self.stats.suppressed_dummies += 1
         else:
-            col_type = (
-                CommandType.COL_READ_AP if request.is_read
-                else CommandType.COL_WRITE_AP
+            req_id = -1 if request is None else request.req_id
+            self._stage(times.act, CommandType.ACTIVATE, addr.rank,
+                        addr.bank, addr.row, req_id, domain)
+            self._stage(
+                times.col,
+                CommandType.COL_READ_AP if is_read
+                else CommandType.COL_WRITE_AP,
+                addr.rank, addr.bank, addr.row, req_id, domain,
             )
-            self._stage(Command(
-                CommandType.ACTIVATE, times.act, self.channel_id,
-                addr.rank, addr.bank, addr.row, request.req_id, domain,
-            ))
-            self._stage(Command(
-                col_type, times.col, self.channel_id, addr.rank,
-                addr.bank, addr.row, request.req_id, domain,
-            ))
+        # The trace records the *interval*, not the slot position: slot
+        # positions depend on co-runners' read/write mix, intervals do not.
+        if request is None:
+            self.stats.dummies += 1
+            self._trace(domain, release_at, "D")
+            return
         request.issue = times.first
         request.data_start = times.data
         request.completion = times.data + self.params.tBURST
         self.stats.record_service(request)
-        kind = request.kind
         if kind is RequestKind.DEMAND:
-            kind_code = "R" if request.is_read else "W"
-        elif kind is RequestKind.PREFETCH:
-            kind_code = "P"
+            self._trace(domain, release_at, "R" if is_read else "W")
+            if is_read:
+                self._schedule_release(request, release_at)
         else:
-            kind_code = "D"
-        # The trace records the *interval*, not the slot position: slot
-        # positions depend on co-runners' read/write mix, intervals do not.
-        self._trace(domain, release_at, kind_code)
-        if request.kind is RequestKind.DEMAND and request.is_read:
-            self._schedule_release(request, release_at)
-
-    def _stage(self, command: Command) -> None:
-        heapq.heappush(
-            self._staged, (command.cycle, next(self._stage_seq), command)
-        )
+            self._trace(domain, release_at, "P")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dram.checker import Violation
 from ..dram.commands import Command, CommandType
@@ -116,6 +116,11 @@ class OnlineInvariantMonitor:
         #: violation streams into it live.
         self.telemetry = None
         self._channels: Dict[int, _ChannelState] = {}
+        #: Where violations are recorded: this monitor, or the composite
+        #: monitor a per-channel child reports to (:meth:`for_channel`).
+        self._sink = self
+        #: Channel-local -> global domain ids (children only).
+        self._domains: Optional[List[int]] = None
         # Conformance state.
         self._allowed: Dict[int, Set[int]] = {}
         if schedule is not None:
@@ -145,36 +150,59 @@ class OnlineInvariantMonitor:
                 f"first: {first}"
             )
 
-    def _flag_conformance(
-        self, domain: int, cycle: int, reason: str
-    ) -> None:
+    def for_channel(
+        self, schedule: Optional[FixedServiceSchedule],
+        domains: Sequence[int],
+    ) -> "OnlineInvariantMonitor":
+        """A watchdog for one channel's sub-controller of a composite
+        (multi-channel) controller, checking that channel's own
+        ``schedule``.
+
+        The sub-controller numbers its domains ``0..k-1``; ``domains``
+        maps them back to global ids.  Every violation the child flags
+        is recorded here under the global id, so this monitor's
+        ``violations`` / ``total_violations`` / ``ok`` cover every
+        channel, and strict mode still raises the cycle it happens.
+        """
+        child = OnlineInvariantMonitor(
+            self.params, schedule=schedule, strict=self.strict,
+            max_recorded=self.max_recorded,
+        )
+        child._sink = self
+        child._domains = list(domains)
+        return child
+
+    def _global(self, domain: Optional[int]) -> Optional[int]:
+        if domain is None or self._domains is None:
+            return domain
+        return self._domains[domain]
+
+    def _record(self, violation: object, domain: Optional[int],
+                cycle: int, reason: str) -> None:
         self.total_violations += 1
         if len(self.violations) < self.max_recorded:
-            self.violations.append(
-                InvariantViolation(domain, cycle, reason)
-            )
+            self.violations.append(violation)
         if self.telemetry is not None:
             self.telemetry.on_violation(domain, cycle, reason)
         if self.strict:
             raise ScheduleViolationError(reason, domain=domain,
                                          cycle=cycle)
 
+    def _flag_conformance(
+        self, domain: int, cycle: int, reason: str
+    ) -> None:
+        domain = self._global(domain)
+        self._sink._record(
+            InvariantViolation(domain, cycle, reason), domain, cycle,
+            reason,
+        )
+
     def _flag_timing(self, violation: Violation) -> None:
-        self.total_violations += 1
-        if len(self.violations) < self.max_recorded:
-            self.violations.append(violation)
         domain = violation.second.domain
-        if self.telemetry is not None:
-            self.telemetry.on_violation(
-                domain if domain >= 0 else None,
-                violation.second.cycle, str(violation),
-            )
-        if self.strict:
-            raise ScheduleViolationError(
-                str(violation),
-                domain=domain if domain >= 0 else None,
-                cycle=violation.second.cycle,
-            )
+        self._sink._record(
+            violation, self._global(domain if domain >= 0 else None),
+            violation.second.cycle, str(violation),
+        )
 
     # ------------------------------------------------------------------
     # Conformance: service events.

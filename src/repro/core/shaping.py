@@ -33,64 +33,66 @@ class DomainHazardTracker:
 
     ``legal`` answers: if this domain dispatches a transaction with the
     given command times, do any of *its own* earlier commands forbid it?
-    ``commit`` records a dispatched transaction.
+    ``commit`` records a dispatched transaction.  Every bound a later
+    check needs is a function of the committed history alone, so
+    ``commit`` folds it into ready cycles once and ``legal`` is a few
+    comparisons.
     """
 
     def __init__(self, params: TimingParams) -> None:
         self.params = params
-        #: (rank, bank) -> (act cycle, col cycle, col was read)
-        self._bank_last: Dict[Tuple[int, int], Tuple[int, int, bool]] = {}
+        #: (rank, bank) -> earliest legal ACT: tRC after the last
+        #: activate and tRP after its (auto-)precharge completes.
+        self._bank_ready: Dict[Tuple[int, int], int] = {}
         #: rank -> recent activate cycles (tFAW window)
         self._rank_acts: Dict[int, Deque[int]] = {}
-        #: rank -> (last column cycle, was read)
-        self._rank_col: Dict[int, Tuple[int, bool]] = {}
+        #: rank -> (earliest ACT under tRRD/tFAW, earliest read column,
+        #: earliest write column) after the last committed transaction.
+        self._rank_ready: Dict[int, Tuple[int, int, int]] = {}
 
     def legal(
         self, times: CommandTimes, address: Address, is_read: bool
     ) -> bool:
-        p = self.params
-        key = (address.rank, address.bank)
-        last = self._bank_last.get(key)
-        if last is not None:
-            act, col, col_was_read = last
-            if times.act - act < p.tRC:
-                return False
-            if col_was_read:
-                pre_done = max(col + p.tRTP, act + p.tRAS) + p.tRP
-            else:
-                pre_done = max(
-                    col + p.tCWD + p.tBURST + p.tWR, act + p.tRAS
-                ) + p.tRP
-            if times.act < pre_done:
-                return False
-        acts = self._rank_acts.get(address.rank)
-        if acts:
-            if times.act - acts[-1] < p.tRRD:
-                return False
-            if len(acts) == 4 and times.act - acts[0] < p.tFAW:
-                return False
-        rank_col = self._rank_col.get(address.rank)
-        if rank_col is not None:
-            col, was_read = rank_col
-            if was_read == is_read:
-                need = p.tCCD
-            elif was_read:
-                need = p.read_to_write
-            else:
-                need = p.write_to_read
-            if times.col - col < need:
-                return False
-        return True
+        bank_ready = self._bank_ready.get((address.rank, address.bank))
+        if bank_ready is not None and times.act < bank_ready:
+            return False
+        ready = self._rank_ready.get(address.rank)
+        if ready is None:
+            return True
+        return times.act >= ready[0] and (
+            times.col >= (ready[1] if is_read else ready[2])
+        )
 
     def commit(
         self, times: CommandTimes, address: Address, is_read: bool
     ) -> None:
-        key = (address.rank, address.bank)
-        self._bank_last[key] = (times.act, times.col, is_read)
-        self._rank_acts.setdefault(
-            address.rank, deque(maxlen=4)
-        ).append(times.act)
-        self._rank_col[address.rank] = (times.col, is_read)
+        p = self.params
+        act, col = times.act, times.col
+        if is_read:
+            pre_at = col + p.tRTP
+        else:
+            pre_at = col + p.tCWD + p.tBURST + p.tWR
+        if pre_at < act + p.tRAS:
+            pre_at = act + p.tRAS
+        ready = act + p.tRC
+        if pre_at + p.tRP > ready:
+            ready = pre_at + p.tRP
+        self._bank_ready[address.rank, address.bank] = ready
+        acts = self._rank_acts.get(address.rank)
+        if acts is None:
+            acts = self._rank_acts[address.rank] = deque(maxlen=4)
+        acts.append(act)
+        act_ready = act + p.tRRD
+        if len(acts) == 4 and acts[0] + p.tFAW > act_ready:
+            act_ready = acts[0] + p.tFAW
+        if is_read:
+            self._rank_ready[address.rank] = (
+                act_ready, col + p.tCCD, col + p.read_to_write
+            )
+        else:
+            self._rank_ready[address.rank] = (
+                act_ready, col + p.write_to_read, col + p.tCCD
+            )
 
 
 class DummyGenerator:

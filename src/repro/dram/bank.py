@@ -78,18 +78,9 @@ class Bank:
             self._check(t, self.earliest_column(t, cmd.type.is_read), cmd)
         elif cmd.type is CommandType.PRECHARGE:
             self._check(t, self.earliest_precharge(t), cmd)
-        self.apply_trusted(cmd)
+        self._transition(cmd)
 
-    def apply_trusted(self, cmd: Command) -> None:
-        """State transition without the validation checks.
-
-        The fast-path engine (:mod:`repro.sim.fastpath`) uses this for
-        commands whose legality was proved offline by the pipeline
-        solver; the state updates are *identical* to :meth:`apply` so
-        every downstream observable (stats, energy, power states) stays
-        bit-exact.  Never call this for commands that were not
-        pre-validated.
-        """
+    def _transition(self, cmd: Command) -> None:
         p = self.params
         t = cmd.cycle
         if cmd.type is CommandType.ACTIVATE:

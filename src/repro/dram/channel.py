@@ -187,34 +187,42 @@ class Channel:
         self.stat_last_activity = max(self.stat_last_activity, cmd.cycle)
         return data_start
 
-    def issue_trusted(self, cmd: Command) -> Optional[int]:
-        """Apply ``cmd`` without validation or bus bookkeeping.
+    def issue_trusted(
+        self, ctype: CommandType, cycle: int, rank: int, bank: int = -1
+    ) -> None:
+        """Count one command without validating it or modelling its
+        timing.
 
-        For pre-validated fixed schedules only (:mod:`repro.sim.fastpath`):
-        the pipeline solver already proved the command stream free of
-        command-bus and data-bus conflicts, so the per-cycle bus
-        reservations exist only to re-check that proof.  This path skips
-        them while keeping every *observable* update (rank/bank state,
-        energy counters, ``stat_commands`` / ``stat_data_cycles`` /
-        ``stat_last_activity``) identical to :meth:`issue`.
+        For pre-validated fixed schedules only (the Fixed Service
+        controllers on the fast engine): the pipeline solver already
+        proved the command stream JEDEC-legal and free of bus conflicts,
+        and no FS decision reads DRAM state, so on this path the state
+        is write-only and only what is read after a run is kept:
 
-        CAVEAT: the ``earliest_*`` queries and ``cmd_bus_free`` /
-        ``data_conflict`` are NOT maintained by this path.  Controllers
-        that consult them (FR-FCFS, TP, FCFS) must keep using
-        :meth:`issue`.
+        * ``stat_commands``, ``stat_data_cycles`` and
+          ``stat_last_activity``;
+        * each rank's :class:`~repro.dram.rank.RankEnergyCounters` and
+          power-state residency (:meth:`repro.dram.rank.Rank.count`).
+
+        Every command type, REFRESH and power-down/up included, goes
+        through this one path, and each of those counters ends equal to
+        what :meth:`issue` would have produced for the same stream.  The
+        command is passed as its type, cycle, rank and bank — the only
+        fields the counters read — so a caller that does not log or
+        monitor its commands never has to build a :class:`Command`.
+
+        CAVEAT: bank and rank timing state, the bus reservations, and so
+        every ``earliest_*`` / ``cmd_bus_free`` / ``data_conflict``
+        query are NOT maintained.  Controllers that consult them
+        (FR-FCFS, TP, FCFS) must keep using :meth:`issue`, and one
+        channel must not mix the two paths.
         """
-        data_start: Optional[int] = None
-        if cmd.type.is_column:
-            offset = (
-                self.params.tCAS if cmd.type.is_read else self.params.tCWD
-            )
-            data_start = cmd.cycle + offset
+        if ctype.is_column:
             self.stat_data_cycles += self.params.tBURST
-        self.ranks[cmd.rank].apply_trusted(cmd)
+        self.ranks[rank].count(ctype, bank, cycle)
         self.stat_commands += 1
-        if cmd.cycle > self.stat_last_activity:
-            self.stat_last_activity = cmd.cycle
-        return data_start
+        if cycle > self.stat_last_activity:
+            self.stat_last_activity = cycle
 
     # ------------------------------------------------------------------
     # Introspection helpers.

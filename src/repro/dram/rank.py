@@ -66,6 +66,8 @@ class Rank:
         self._power_until: int = 0  # earliest cycle a command may issue
         self._state_since: int = 0
         self.energy = RankEnergyCounters()
+        #: Open banks as bits, kept by :meth:`count` only.
+        self._open_banks = 0
 
     # ------------------------------------------------------------------
     # Earliest-time queries.
@@ -146,28 +148,16 @@ class Rank:
         elif cmd.type is CommandType.POWER_UP:
             if self.power_state is not PowerState.POWER_DOWN:
                 raise TimingViolation("power-up while not powered down")
-        self._transition(cmd, checked=True)
+        self._transition(cmd)
 
-    def apply_trusted(self, cmd: Command) -> None:
-        """State transition without the validation checks.
-
-        Used by the fast-path engine for command streams whose legality
-        was proved offline (the Fixed Service timetables).  Performs the
-        *same* state and energy updates as :meth:`apply`, in the same
-        order, so power-state residency and energy counters stay
-        bit-identical with the checked path.
-        """
-        self._transition(cmd, checked=False)
-
-    def _transition(self, cmd: Command, checked: bool) -> None:
+    def _transition(self, cmd: Command) -> None:
         t = cmd.cycle
         if cmd.type is CommandType.ACTIVATE:
             self._account_state(t)
             self._act_times.append(t)
             self._last_act = t
             self.energy.activates += 1
-            bank = self.banks[cmd.bank]
-            bank.apply(cmd) if checked else bank.apply_trusted(cmd)
+            self.banks[cmd.bank].apply(cmd)
             self._enter(PowerState.ACTIVE, t)
         elif cmd.type.is_column:
             self._last_col = t
@@ -176,14 +166,12 @@ class Rank:
                 self.energy.reads += 1
             else:
                 self.energy.writes += 1
-            bank = self.banks[cmd.bank]
-            bank.apply(cmd) if checked else bank.apply_trusted(cmd)
+            self.banks[cmd.bank].apply(cmd)
             if cmd.type.auto_precharge and not self.any_bank_open:
                 self._account_state(t)
                 self._enter(PowerState.PRECHARGED, t)
         elif cmd.type is CommandType.PRECHARGE:
-            bank = self.banks[cmd.bank]
-            bank.apply(cmd) if checked else bank.apply_trusted(cmd)
+            self.banks[cmd.bank].apply(cmd)
             if not self.any_bank_open:
                 self._account_state(t)
                 self._enter(PowerState.PRECHARGED, t)
@@ -191,7 +179,7 @@ class Rank:
             self._account_state(t)
             self.energy.refreshes += 1
             for bank in self.banks:
-                bank.apply(cmd) if checked else bank.apply_trusted(cmd)
+                bank.apply(cmd)
             self._enter(PowerState.PRECHARGED, t)
         elif cmd.type is CommandType.POWER_DOWN:
             self._account_state(t)
@@ -203,6 +191,63 @@ class Rank:
             self._power_until = t + self.params.tXP
         else:  # pragma: no cover - defensive
             raise ValueError(f"rank cannot apply {cmd.type}")
+
+    def count(self, ctype: CommandType, bank: int, t: int) -> None:
+        """Counter-only transition for a command whose legality was
+        proved offline (:meth:`repro.dram.channel.Channel.issue_trusted`).
+
+        Updates exactly what is read after a run — the energy counters
+        and the power-state residency — and nothing that only the
+        earliest-issue queries read (bank timing registers, activation
+        windows, column turnaround, power-exit latency).  Which banks
+        are open is kept as the bitmask ``_open_banks``: a bank opens
+        on ACTIVATE and closes on an auto-precharge column, PRECHARGE or
+        REFRESH, exactly when :meth:`apply` sets or clears its
+        ``open_row``, so the power state changes on the same commands
+        and every counter matches the checked path.
+        """
+        energy = self.energy
+        if ctype is CommandType.ACTIVATE:
+            energy.activates += 1
+            self._open_banks |= 1 << bank
+            state = PowerState.ACTIVE
+        elif ctype.is_column:
+            if ctype.is_read:
+                energy.reads += 1
+            else:
+                energy.writes += 1
+            if not ctype.auto_precharge:
+                return
+            self._open_banks &= ~(1 << bank)
+            if self._open_banks:
+                return
+            state = PowerState.PRECHARGED
+        elif ctype is CommandType.PRECHARGE:
+            self._open_banks &= ~(1 << bank)
+            if self._open_banks:
+                return
+            state = PowerState.PRECHARGED
+        elif ctype is CommandType.REFRESH:
+            energy.refreshes += 1
+            self._open_banks = 0
+            state = PowerState.PRECHARGED
+        elif ctype is CommandType.POWER_DOWN:
+            state = PowerState.POWER_DOWN
+        elif ctype is CommandType.POWER_UP:
+            state = PowerState.PRECHARGED
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"rank cannot apply {ctype}")
+        # Inlined :meth:`_account_state` + :meth:`_enter`.
+        span = t - self._state_since
+        if span > 0:
+            if self.power_state is PowerState.ACTIVE:
+                energy.cycles_active += span
+            elif self.power_state is PowerState.PRECHARGED:
+                energy.cycles_precharged += span
+            else:
+                energy.cycles_power_down += span
+        self._state_since = t
+        self.power_state = state
 
     @property
     def any_bank_open(self) -> bool:

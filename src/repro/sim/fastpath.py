@@ -19,11 +19,15 @@ were proved offline.  This module exploits that determinism:
 * :class:`TemplatedSchedule` — memoizes the per-mode command-time
   offsets so ``command_times`` is two integer adds, not a re-derivation.
 * trusted issue — the FS command stream was validated offline (pipeline
-  solver + :func:`repro.core.schedule.validate_schedule`), so the fast
-  FS controllers apply commands through
-  :meth:`repro.dram.channel.Channel.issue_trusted`, skipping the
-  per-command JEDEC re-validation and bus-reservation bookkeeping while
-  keeping every observable state update bit-identical.
+  solver + :func:`repro.core.schedule.validate_schedule`) and no FS
+  decision reads DRAM state, so on this path the DRAM model is
+  write-only.  The fast FS controllers count each staged command through
+  :meth:`repro.dram.channel.Channel.issue_trusted`, which keeps only
+  what is read after a run (channel ``stat_*`` counters, per-rank energy
+  counters and power-state residency) and skips JEDEC re-validation,
+  bus reservations and bank timing state.  A
+  :class:`~repro.dram.commands.Command` is built only when the command
+  log, the online monitor or telemetry will read it.
 * :class:`FastFrFcfsController` / :class:`FastTpController` — the
   non-fixed schedulers keep full validation (their schedules are *not*
   precomputed) but cache scheduling candidates between decisions, with
@@ -257,24 +261,33 @@ class FastDummyGenerator(DummyGenerator):
 
 
 class _TrustedIssueMixin:
-    """Issue pre-validated commands via the unchecked channel path.
+    """Issue staged, pre-validated commands via the counter-only channel
+    path (:meth:`repro.dram.channel.Channel.issue_trusted`).
 
-    Logging and the online invariant monitor keep observing every
-    command, so ``log_commands`` / ``OnlineInvariantMonitor`` behave
-    exactly as in the reference engine.
+    A :class:`~repro.dram.commands.Command` is built only when the
+    command log, the online invariant monitor or telemetry will read it,
+    so those observe every command exactly as in the reference engine.
     """
 
-    def _issue(self, command: Command) -> Optional[int]:
-        data_start = self.dram.channels[command.channel].issue_trusted(
-            command
+    trusted_issue = True
+
+    def _issue_staged(self, entry: Tuple) -> None:
+        cycle, _, ctype, rank, bank, row, request_id, domain = entry
+        self.dram.channels[self.channel_id].issue_trusted(
+            ctype, cycle, rank, bank
         )
-        if self.log_commands:
-            self.command_log.append(command)
-        if self.monitor is not None:
-            self.monitor.observe_command(command)
-        if self.telemetry is not None:
-            self.telemetry.on_command(self, command)
-        return data_start
+        if self.log_commands or self.monitor is not None or \
+                self.telemetry is not None:
+            command = Command(
+                ctype, cycle, self.channel_id, rank, bank, row,
+                request_id, domain,
+            )
+            if self.log_commands:
+                self.command_log.append(command)
+            if self.monitor is not None:
+                self.monitor.observe_command(command)
+            if self.telemetry is not None:
+                self.telemetry.on_command(self, command)
 
 
 class FastFixedServiceController(_TrustedIssueMixin,
@@ -289,83 +302,29 @@ class FastFixedServiceController(_TrustedIssueMixin,
             d: FastDummyGenerator(d, partition, self.channel_id)
             for d in range(self.num_domains)
         }
-        # Precomputed decide-cycle table: decide(g) for global slot g is
-        # interval * Q + base[g % slots_per_interval].
-        self._decide_base = [
-            self.schedule.anchor(0, spec) + self._decision_lead
-            for spec in self.schedule.slots
-        ]
-        self._nslots = len(self.schedule.slots)
-        # Per-domain slot positions within one interval, and the
-        # earliest *demand-read* release cycle each slot could produce
-        # (only read dispatches schedule core releases; write-forward
-        # and prefetch-hit releases are created at enqueue time and are
+        # Earliest *demand-read* release each domain's next own slot
+        # could produce, relative to the current interval's start, for
+        # every position the next undecided slot may sit at (only read
+        # dispatches schedule core releases; write-forward and
+        # prefetch-hit releases are created at enqueue time and are
         # covered by ``drain_deadline`` from the next driver stop).
-        self._domain_slot_pos = {
-            d: [
-                i for i, s in enumerate(self.schedule.slots)
-                if s.domain == d
-            ]
-            for d in range(self.num_domains)
-        }
-        self._release_base = [
-            self.schedule.command_times(
-                self.schedule.anchor(0, spec), True
-            ).data + self.params.tBURST
-            for spec in self.schedule.slots
+        nslots = len(self._anchor_base)
+        length = self.schedule.interval_length
+        release = [
+            anchor + self._rel_read.data + self.params.tBURST
+            for anchor in self._anchor_base
         ]
-        # release_horizon memo: between driver stops with no slot
-        # decided and no enqueue, the per-domain queue emptiness — the
-        # only other input — cannot have changed (dequeues happen only
-        # inside slot decisions, which bump ``_next_slot``).
-        self._rh_key = (-1, -1)
-        self._rh_value: Optional[int] = None
-        self._enq_count = 0
-
-    def enqueue(self, request: Request) -> None:
-        self._enq_count += 1
-        super().enqueue(request)
-
-    def _decide_cycle(self, g: int) -> int:
-        interval, idx = divmod(g, len(self._decide_base))
-        return interval * self.schedule.interval_length + \
-            self._decide_base[idx]
-
-    def _work(self, until: int) -> None:
-        """Reference loop with the per-iteration slot-geometry lookup
-        hoisted (the decide cycle only changes when a slot is decided)
-        and the duplicate-command guard skipped when no fault injector
-        is armed — without one no duplicate can ever be staged, so the
-        guard is a provable no-op."""
-        if self.refresh is not None and self.refresh.enabled:
-            self._pump_refreshes(until + self.schedule.interval_length)
-        staged = self._staged
-        fast_issue = self.fault_injector is None
-        decide_at = self._decide_cycle(self._next_slot)
-        while True:
-            staged_at = staged[0][0] if staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_slot(self._next_slot)
-                self._next_slot += 1
-                decide_at = self._decide_cycle(self._next_slot)
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(staged)
-                if not fast_issue:
-                    key = (
-                        command.type, command.cycle, command.channel,
-                        command.rank, command.bank, command.row,
-                    )
-                    if key == self._last_issued_key:
-                        self.stats.squashed_duplicates += 1
-                        continue
-                    self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
+        self._release_table = [
+            [
+                min(
+                    release[pos] + (0 if pos >= off else length)
+                    for pos in range(nslots)
+                    if self._slot_domain[pos] == d
+                )
+                for d in range(self.num_domains)
+            ]
+            for off in range(nslots)
+        ]
 
     def release_horizon(self) -> Optional[int]:
         """Earliest cycle a *new* core release could be created.
@@ -383,25 +342,15 @@ class FastFixedServiceController(_TrustedIssueMixin,
         """
         if self.fault_injector is not None:
             return None
-        g0 = self._next_slot
-        key = (g0, self._enq_count)
-        if key == self._rh_key:
-            return self._rh_value
-        length = self.schedule.interval_length
-        interval, off = divmod(g0, self._nslots)
-        base = interval * length
+        interval, off = divmod(self._next_slot, len(self._release_table))
+        row = self._release_table[off]
         best: Optional[int] = None
-        rb = self._release_base
         for d, queue in self._queues.items():
-            if not queue:
-                continue
-            for pos in self._domain_slot_pos[d]:
-                t = rb[pos] + (base if pos >= off else base + length)
-                if best is None or t < best:
-                    best = t
-        self._rh_key = key
-        self._rh_value = best
-        return best
+            if queue and (best is None or row[d] < best):
+                best = row[d]
+        if best is None:
+            return None
+        return best + interval * self.schedule.interval_length
 
 
 class FastReorderedBpController(_TrustedIssueMixin, ReorderedBpController):
@@ -435,40 +384,6 @@ class FastReorderedBpController(_TrustedIssueMixin, ReorderedBpController):
             + (g.num_domains - 1) * g.data_gap
             + self.params.tBURST
         )
-
-    def _work(self, until: int) -> None:
-        """Reference loop with the decide cycle tracked incrementally
-        (``decide(i) == i * interval_length`` exactly) and the
-        duplicate-command guard skipped when no fault injector is armed
-        (without one no duplicate can ever be staged)."""
-        staged = self._staged
-        fast_issue = self.fault_injector is None
-        length = self.geometry.interval_length
-        decide_at = self._next_interval * length
-        while True:
-            staged_at = staged[0][0] if staged else None
-            if decide_at <= until and (
-                staged_at is None or decide_at <= staged_at
-            ):
-                self._decide_interval(self._next_interval)
-                self._next_interval += 1
-                decide_at += length
-                continue
-            if staged_at is not None and staged_at <= until:
-                _, _, command = heapq.heappop(staged)
-                if not fast_issue:
-                    key = (
-                        command.type, command.cycle, command.channel,
-                        command.rank, command.bank, command.row,
-                    )
-                    if key == self._last_issued_key:
-                        self.stats.squashed_duplicates += 1
-                        continue
-                    self._last_issued_key = key
-                self._issue(command)
-                continue
-            break
-        self.dram.channels[self.channel_id].prune(self.now)
 
 
 class FastMultiChannelFsController(MultiChannelFsController):
@@ -1204,25 +1119,29 @@ class FastSystem(System):
             if profiler is not None:
                 profiler.note_stride(new_clock - clock)
             clock = new_clock
-            delivered = True
-            while delivered:
-                delivered = False
+            # Deliver in core order, re-scanning while a delivery pumped
+            # a request that is itself due.  ``can_accept`` only turns
+            # false as queues fill, so a request it refused stays
+            # refused, and the last scan's refusals are exactly the due
+            # requests left staged.
+            rescan = True
+            while rescan:
+                rescan = False
+                blocked = False
                 for i, request in enumerate(staged):
                     if request is None or request.arrival > clock:
                         continue
                     if not can_accept(request.domain):
-                        continue  # back-pressure: core stalls here
+                        blocked = True  # back-pressure: core stalls here
+                        continue
                     enqueue(request)
                     staged[i] = None
                     pump(i)
                     if cores[i].done:
                         not_done.discard(i)
-                    delivered = True
-            blocked = False
-            for r in staged:
-                if r is not None and r.arrival <= clock:
-                    blocked = True
-                    break
+                    request = staged[i]
+                    if request is not None and request.arrival <= clock:
+                        rescan = True
             for request in advance(clock):
                 if request.kind is not demand:
                     continue

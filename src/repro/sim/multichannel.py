@@ -15,9 +15,10 @@ share nothing at all.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..controllers.base import MemoryController
+from ..controllers.base import ControllerStats, MemoryController
 from ..core.fs_controller import FixedServiceController
 from ..core.pipeline_solver import SharingLevel
 from ..core.schedule import build_fs_schedule
@@ -83,6 +84,8 @@ class MultiChannelFsController(MemoryController):
                     "multi-channel FS needs channel-local domains"
                 )
             by_channel.setdefault(channels.pop(), []).append(d)
+        #: Channel -> its global domain ids, in channel-local order.
+        self._domains = by_channel
         self._sub: Dict[int, FixedServiceController] = {}
         self._local_id: Dict[int, Tuple[int, int]] = {}
         for channel, domains in sorted(by_channel.items()):
@@ -173,6 +176,17 @@ class MultiChannelFsController(MemoryController):
     def service_trace(self, value) -> None:
         pass
 
+    def attach_monitor(self, monitor) -> None:
+        """Give every sub-controller its own watchdog over its own
+        channel's timetable, reporting into ``monitor`` under global
+        domain ids (see :meth:`~repro.core.online_monitor
+        .OnlineInvariantMonitor.for_channel`)."""
+        super().attach_monitor(monitor)
+        for channel, controller in self._sub.items():
+            controller.attach_monitor(monitor.for_channel(
+                controller.schedule, self._domains[channel]
+            ))
+
     def attach_telemetry(self, session) -> None:
         """Fan the session out to every per-channel sub-controller.
 
@@ -181,17 +195,19 @@ class MultiChannelFsController(MemoryController):
         metric labels and trace tracks stay globally consistent.
         """
         super().attach_telemetry(session)
-        by_sub: Dict[int, Dict[int, int]] = {}
-        for global_id, (channel, local) in self._local_id.items():
-            by_sub.setdefault(channel, {})[local] = global_id
         for channel, controller in self._sub.items():
             controller.attach_telemetry(session)
             session.register_domain_map(
-                controller, by_sub.get(channel, {})
+                controller, dict(enumerate(self._domains[channel]))
             )
 
     def finalize(self) -> None:
-        self.dram.finalize(self.now)
+        """Finalize every channel (power-state accounting and its
+        watchdog's end-of-run checks), then the composite watchdog."""
+        for controller in self._sub.values():
+            controller.finalize()
+        if self.monitor is not None:
+            self.monitor.finalize()
 
     @property
     def stats(self):
@@ -203,21 +219,11 @@ class MultiChannelFsController(MemoryController):
     def stats(self, value) -> None:
         pass  # base-class __init__ assigns a placeholder
 
-    def aggregate_stats(self):
-        """Combined ControllerStats across channels."""
-        from ..controllers.base import ControllerStats
-
+    def aggregate_stats(self) -> ControllerStats:
+        """Combined ControllerStats across channels: every field summed."""
         total = ControllerStats()
         for controller in self._sub.values():
-            s = controller.stats
-            total.demand_reads += s.demand_reads
-            total.demand_writes += s.demand_writes
-            total.prefetches += s.prefetches
-            total.dummies += s.dummies
-            total.suppressed_dummies += s.suppressed_dummies
-            total.row_hit_boosts += s.row_hit_boosts
-            total.read_latency_sum += s.read_latency_sum
-            total.read_count += s.read_count
-            total.bubbles += s.bubbles
-            total.blocked_slots += s.blocked_slots
+            for f in dataclasses.fields(ControllerStats):
+                setattr(total, f.name, getattr(total, f.name)
+                        + getattr(controller.stats, f.name))
         return total

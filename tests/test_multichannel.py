@@ -79,3 +79,72 @@ class TestCrossChannelIsolation:
             config=full_target_config(accesses_per_core=150),
         )
         assert report.identical
+
+
+class TestPerChannelWatchdog:
+    """``monitor=True`` on the composite must watch every channel."""
+
+    @staticmethod
+    def _system(engine="fast"):
+        return build_system(
+            "fs_rp_mc", full_target_config(accesses_per_core=60),
+            suite_specs("milc", 32), SchemeOptions(monitor=True),
+            engine=engine,
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_each_channel_watched_against_its_own_schedule(self, engine):
+        system = self._system(engine)
+        result = system.run(max_cycles=8_000_000)
+        controller = system.controller
+        assert all(c.done for c in result.cores)
+        assert controller.monitor.ok
+        for sub in controller._sub.values():
+            assert sub.monitor is not None
+            assert sub.monitor.schedule is sub.schedule
+
+    def test_channel_violation_reaches_composite_monitor(self):
+        system = self._system()
+        controller = system.controller
+        channel, local = controller._local_id[17]
+        sub = controller._sub[channel]
+        # A service one cycle off the domain's anchor: a foreign offset.
+        anchor = sub.schedule.anchor(0, sub.schedule.slots_of_domain(
+            local)[0])
+        sub._trace(local, anchor + 1, "R")
+        monitor = controller.monitor
+        assert monitor.total_violations == 1
+        assert monitor.violations[0].domain == 17
+
+    def test_finalize_runs_each_channel_end_of_run_check(self):
+        system = self._system()
+        controller = system.controller
+        controller.advance(20_000)
+        # Domain 0 of one channel claims service far beyond the horizon
+        # every other domain reached: the constant-service shape check
+        # (run by the channel watchdog at finalize) must flag the rest.
+        sub = next(iter(controller._sub.values()))
+        schedule = sub.schedule
+        far = schedule.anchor(1_000, schedule.slots_of_domain(0)[0])
+        sub.monitor.observe_service(0, far, "D")
+        assert controller.monitor.ok
+        controller.finalize()
+        assert not controller.monitor.ok
+        assert all(
+            "expected" in v.reason for v in controller.monitor.violations
+        )
+
+    def test_aggregate_stats_sums_every_field(self):
+        import dataclasses
+
+        from repro.controllers.base import ControllerStats
+
+        controller = self._system().controller
+        fields = [f.name for f in dataclasses.fields(ControllerStats)]
+        for k, sub in enumerate(controller._sub.values()):
+            for i, name in enumerate(fields):
+                setattr(sub.stats, name, (k + 1) * (i + 1))
+        total = controller.aggregate_stats()
+        scale = sum(k + 1 for k in range(len(controller._sub)))
+        for i, name in enumerate(fields):
+            assert getattr(total, name) == scale * (i + 1), name
