@@ -319,7 +319,10 @@ def cmd_run(args) -> int:
 
             n = export_chrome_trace(telemetry.collector, trace_handle)
             trace_handle.close()
-            print(f"trace: {n} events -> {args.trace}", file=sys.stderr)
+            print(
+                f"trace: {n} events{_dropped_note(telemetry.collector)} "
+                f"-> {args.trace}", file=sys.stderr,
+            )
     rows = [
         ["cycles", result.cycles],
         ["reads completed", result.total_reads],
@@ -452,6 +455,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _dropped_note(collector) -> str:
+    """Suffix for a trace report naming the events the collector's ring
+    dropped (empty when nothing was dropped)."""
+    if not collector.dropped_events:
+        return ""
+    return (
+        f" ({collector.dropped_events} oldest dropped by the "
+        f"{collector.capacity}-event ring)"
+    )
+
+
 def cmd_trace(args) -> int:
     """Record one run's timeline and export Chrome trace JSON."""
     from .sim.runner import build_system
@@ -476,12 +490,7 @@ def cmd_trace(args) -> int:
         "cycles": result.cycles,
     })
     handle.close()
-    dropped = (
-        f" ({collector.dropped_events} oldest dropped by the "
-        f"{args.capacity}-event ring)"
-        if collector.dropped_events else ""
-    )
-    print(f"wrote {n} events{dropped} -> {args.output}")
+    print(f"wrote {n} events{_dropped_note(collector)} -> {args.output}")
     print("open in https://ui.perfetto.dev (or chrome://tracing)")
     return 0
 

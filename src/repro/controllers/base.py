@@ -123,9 +123,13 @@ class MemoryController(abc.ABC):
         #: :class:`repro.core.online_monitor.OnlineInvariantMonitor`);
         #: observes every service event and issued command live.
         self.monitor = None
-        #: Optional observability session (see
-        #: :class:`repro.telemetry.session.TelemetrySession`); strictly
-        #: passive, guarded by one ``is None`` check per event.
+        #: Timeline hooks of an attached
+        #: :class:`repro.telemetry.session.TelemetrySession` — set only
+        #: when the session records a timeline (has a trace collector),
+        #: else ``None``.  Strictly passive, guarded by one ``is None``
+        #: check per event.  Event counts never pass through it: the
+        #: session folds them from ``service_trace`` and the channel
+        #: counters once, when the run ends.
         self.telemetry = None
         #: Full command log (only when log_commands is set; used by the
         #: timing checker and the security tests).
@@ -205,19 +209,21 @@ class MemoryController(abc.ABC):
         self.monitor = monitor
 
     def attach_telemetry(self, session) -> None:
-        """Attach a telemetry session to this controller.
+        """Attach a telemetry session's timeline hooks to this controller.
 
-        Also wires the session into the controller's fault injector and
-        online monitor when present, so fault strikes and invariant
-        violations stream into the same registry/timeline.  Composite
+        Also wires them into the controller's fault injector and online
+        monitor when present, so fault strikes and invariant violations
+        land on the same timeline.  A session without a trace collector
+        records no timeline, so it arms no hook at all.  Composite
         controllers override this to fan out to their sub-controllers.
         """
-        self.telemetry = session
+        hooks = session if session.collector is not None else None
+        self.telemetry = hooks
         injector = getattr(self, "fault_injector", None)
         if injector is not None:
-            injector.telemetry = session
+            injector.telemetry = hooks
         if self.monitor is not None:
-            self.monitor.telemetry = session
+            self.monitor.telemetry = hooks
 
     def _issue(self, command: Command) -> Optional[int]:
         """Issue a command to its channel, with optional logging."""

@@ -111,9 +111,9 @@ class OnlineInvariantMonitor:
         self.max_recorded = max_recorded
         self.violations: List[object] = []
         self.total_violations = 0
-        #: Optional telemetry session (wired by
+        #: Optional telemetry timeline hooks (wired by
         #: ``MemoryController.attach_telemetry``); every flagged
-        #: violation streams into it live.
+        #: violation becomes a timeline event.
         self.telemetry = None
         self._channels: Dict[int, _ChannelState] = {}
         #: Where violations are recorded: this monitor, or the composite

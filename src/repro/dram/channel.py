@@ -51,9 +51,15 @@ class Channel:
         self._cmd_bus_horizon = 0  # cycles below this have been pruned
         #: Outstanding/past data-bus reservations, kept sorted by start.
         self._data: List[DataReservation] = []
-        self.stat_commands = 0
+        #: Commands accepted, per type (indexed by ``CommandType.ordinal``).
+        self.stat_commands_by_type: List[int] = [0] * len(CommandType)
         self.stat_data_cycles = 0
         self.stat_last_activity = 0
+
+    @property
+    def stat_commands(self) -> int:
+        """Commands accepted by this channel, all types."""
+        return sum(self.stat_commands_by_type)
 
     # ------------------------------------------------------------------
     # Command bus.
@@ -183,7 +189,7 @@ class Channel:
             data_start = cmd.cycle + offset
             self._reserve_data(data_start, cmd.rank)
         self.ranks[cmd.rank].apply(cmd)
-        self.stat_commands += 1
+        self.stat_commands_by_type[cmd.type.ordinal] += 1
         self.stat_last_activity = max(self.stat_last_activity, cmd.cycle)
         return data_start
 
@@ -199,8 +205,8 @@ class Channel:
         and no FS decision reads DRAM state, so on this path the state
         is write-only and only what is read after a run is kept:
 
-        * ``stat_commands``, ``stat_data_cycles`` and
-          ``stat_last_activity``;
+        * ``stat_commands_by_type`` (hence ``stat_commands``),
+          ``stat_data_cycles`` and ``stat_last_activity``;
         * each rank's :class:`~repro.dram.rank.RankEnergyCounters` and
           power-state residency (:meth:`repro.dram.rank.Rank.count`).
 
@@ -220,7 +226,7 @@ class Channel:
         if ctype.is_column:
             self.stat_data_cycles += self.params.tBURST
         self.ranks[rank].count(ctype, bank, cycle)
-        self.stat_commands += 1
+        self.stat_commands_by_type[ctype.ordinal] += 1
         if cycle > self.stat_last_activity:
             self.stat_last_activity = cycle
 

@@ -21,7 +21,9 @@ class CommandType(enum.Enum):
     ``is_column`` / ``is_read`` / ``is_write`` / ``auto_precharge`` are
     plain per-member attributes (filled in right below the class body):
     they sit on every scheduler's innermost loop, where a property call
-    per query is measurable simulator overhead.
+    per query is measurable simulator overhead.  ``ordinal`` is the
+    member's position in declaration order, the index of its slot in
+    per-type counter lists (hashing an enum member is a Python call).
     """
 
     ACTIVATE = "ACT"
@@ -39,6 +41,7 @@ class CommandType(enum.Enum):
     is_read: bool
     is_write: bool
     auto_precharge: bool
+    ordinal: int
 
 
 _COLUMN_COMMANDS = frozenset(
@@ -50,7 +53,8 @@ _COLUMN_COMMANDS = frozenset(
     }
 )
 
-for _member in CommandType:
+for _ordinal, _member in enumerate(CommandType):
+    _member.ordinal = _ordinal
     _member.is_column = _member in _COLUMN_COMMANDS
     _member.is_read = _member in (
         CommandType.COL_READ, CommandType.COL_READ_AP
@@ -61,7 +65,7 @@ for _member in CommandType:
     _member.auto_precharge = _member in (
         CommandType.COL_READ_AP, CommandType.COL_WRITE_AP
     )
-del _member
+del _member, _ordinal
 
 
 class OpType(enum.Enum):

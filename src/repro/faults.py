@@ -178,9 +178,10 @@ class FaultInjector:
         self.counts: Counter = Counter()
         self._enqueues: Dict[int, int] = {}
         self._overflow_until: Dict[int, int] = {}
-        #: Optional telemetry session (wired by
+        #: Optional telemetry timeline hooks (wired by
         #: ``MemoryController.attach_telemetry``); every recorded strike
-        #: streams into it as a labeled counter + timeline event.
+        #: becomes a timeline event.  Strike counts are read from
+        #: :attr:`counts` when the run ends.
         self.telemetry = None
 
     # -- deterministic coin ---------------------------------------------

@@ -105,6 +105,15 @@ class ChannelPartition(PartitionPolicy):
                 "channel partitioning needs at least one channel per domain"
             )
         self._per_domain = geometry.channels // num_domains
+        self._resources = [
+            tuple(
+                (ch, rk, bk)
+                for ch in self.channels_of(d)
+                for rk in range(geometry.ranks)
+                for bk in range(geometry.banks)
+            )
+            for d in range(num_domains)
+        ]
 
     @property
     def level(self) -> str:
@@ -116,17 +125,14 @@ class ChannelPartition(PartitionPolicy):
         return list(range(start, start + self._per_domain))
 
     def decode(self, domain: int, line: int) -> Address:
+        self._check_domain(domain)
         return interleave_decode(
-            self.resources(domain), self.geometry, line
+            self._resources[domain], self.geometry, line
         )
 
     def resources(self, domain: int) -> List[Tuple[int, int, int]]:
-        out = []
-        for ch in self.channels_of(domain):
-            for rk in range(self.geometry.ranks):
-                for bk in range(self.geometry.banks):
-                    out.append((ch, rk, bk))
-        return out
+        self._check_domain(domain)
+        return list(self._resources[domain])
 
 
 class RankPartition(PartitionPolicy):
@@ -151,6 +157,14 @@ class RankPartition(PartitionPolicy):
         for idx in range(total_ranks):
             ch, rk = divmod(idx, geometry.ranks)
             self._assignment[idx % num_domains].append((ch, rk))
+        self._resources = [
+            tuple(
+                (ch, rk, bk)
+                for ch, rk in self._assignment[d]
+                for bk in range(geometry.banks)
+            )
+            for d in range(num_domains)
+        ]
 
     @property
     def level(self) -> str:
@@ -161,16 +175,14 @@ class RankPartition(PartitionPolicy):
         return list(self._assignment[domain])
 
     def decode(self, domain: int, line: int) -> Address:
+        self._check_domain(domain)
         return interleave_decode(
-            self.resources(domain), self.geometry, line
+            self._resources[domain], self.geometry, line
         )
 
     def resources(self, domain: int) -> List[Tuple[int, int, int]]:
-        return [
-            (ch, rk, bk)
-            for ch, rk in self.ranks_of(domain)
-            for bk in range(self.geometry.banks)
-        ]
+        self._check_domain(domain)
+        return list(self._resources[domain])
 
 
 class BankPartition(PartitionPolicy):
@@ -206,8 +218,9 @@ class BankPartition(PartitionPolicy):
         return list(self._assignment[domain])
 
     def decode(self, domain: int, line: int) -> Address:
+        self._check_domain(domain)
         return interleave_decode(
-            self.banks_of(domain), self.geometry, line
+            self._assignment[domain], self.geometry, line
         )
 
     def resources(self, domain: int) -> List[Tuple[int, int, int]]:

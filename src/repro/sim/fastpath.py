@@ -27,7 +27,7 @@ were proved offline.  This module exploits that determinism:
   counters and power-state residency) and skips JEDEC re-validation,
   bus reservations and bank timing state.  A
   :class:`~repro.dram.commands.Command` is built only when the command
-  log, the online monitor or telemetry will read it.
+  log, the online monitor or a telemetry timeline will read it.
 * :class:`FastFrFcfsController` / :class:`FastTpController` — the
   non-fixed schedulers keep full validation (their schedules are *not*
   precomputed) but cache scheduling candidates between decisions, with
@@ -265,8 +265,10 @@ class _TrustedIssueMixin:
     path (:meth:`repro.dram.channel.Channel.issue_trusted`).
 
     A :class:`~repro.dram.commands.Command` is built only when the
-    command log, the online invariant monitor or telemetry will read it,
-    so those observe every command exactly as in the reference engine.
+    command log, the online invariant monitor or a telemetry timeline
+    will read it, so those observe every command exactly as in the
+    reference engine.  A registry-only telemetry session arms no hook
+    here: its command counts come from the channel's per-type counter.
     """
 
     trusted_issue = True
@@ -1032,12 +1034,9 @@ class FastSystem(System):
         profiler = (
             telemetry.profiler if telemetry is not None else None
         )
-        tracer = telemetry.tracer if telemetry is not None else None
         wall_start = (
-            time.monotonic()
-            if profiler is not None or tracer is not None else None
+            time.monotonic() if telemetry is not None else None
         )
-        profile_start = wall_start
         deadline = (
             time.monotonic() + wall_budget_s
             if wall_budget_s is not None else None
@@ -1152,14 +1151,4 @@ class FastSystem(System):
                     pump(i)
                     if cores[i].done:
                         not_done.discard(i)
-        controller.finalize()
-        if profiler is not None:
-            profiler.note_run(
-                clock, time.monotonic() - profile_start
-            )
-        if tracer is not None:
-            tracer.record_engine_run(
-                self.scheme, self.engine_name, clock,
-                wall_seconds=time.monotonic() - wall_start,
-            )
-        return self._collect(clock)
+        return self._finish(clock, wall_start)

@@ -135,14 +135,9 @@ class System:
         controller = self.controller
         clock = 0
         reads_done = 0
-        telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        tracer = telemetry.tracer if telemetry is not None else None
         wall_start = (
-            time.monotonic()
-            if profiler is not None or tracer is not None else None
+            time.monotonic() if self.telemetry is not None else None
         )
-        profile_start = wall_start
         deadline = (
             time.monotonic() + wall_budget_s
             if wall_budget_s is not None else None
@@ -197,16 +192,28 @@ class System:
                     core.on_complete(request, request.release)
                     reads_done += 1
                     self._pump(self._core_index[id(core)])
-        controller.finalize()
-        if profiler is not None:
-            profiler.note_run(
-                clock, time.monotonic() - profile_start
-            )
-        if tracer is not None:
-            tracer.record_engine_run(
-                self.scheme, self.engine_name, clock,
-                wall_seconds=time.monotonic() - wall_start,
-            )
+        return self._finish(clock, wall_start)
+
+    def _finish(
+        self, clock: int, wall_start: Optional[float]
+    ) -> RunResult:
+        """Close out a run (both drivers): finalize the controller,
+        close the profiler and span records, fold the telemetry
+        session's event counts (once per run), and collect the result.
+        """
+        self.controller.finalize()
+        telemetry = self.telemetry
+        if telemetry is not None:
+            if telemetry.profiler is not None:
+                telemetry.profiler.note_run(
+                    clock, time.monotonic() - wall_start
+                )
+            if telemetry.tracer is not None:
+                telemetry.tracer.record_engine_run(
+                    self.scheme, self.engine_name, clock,
+                    wall_seconds=time.monotonic() - wall_start,
+                )
+            telemetry.end_run(self.controller)
         return self._collect(clock)
 
     # ------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Unified telemetry: metrics registry, trace export, engine profiling.
 
-The observability layer for the whole simulation stack (ISSUE 3).  One
-:class:`TelemetrySession` attaches to a controller and streams every
-slot grant, DRAM command, fault strike, and invariant violation into a
-deterministic :class:`MetricsRegistry` and an optional cycle-accurate
-:class:`TraceCollector`; after the run, the legacy stat structs are
-harvested into the same registry (:mod:`repro.telemetry.compat`), and
-the timeline can be exported as Chrome trace-event JSON
+The observability layer for the whole simulation stack.  One
+:class:`TelemetrySession` attaches to a run: when it ends, the run's
+slot grants, DRAM commands, fault strikes and invariant violations are
+counted into a deterministic :class:`MetricsRegistry` and the legacy
+stat structs are harvested into it (:mod:`repro.telemetry.compat`).
+With a :class:`TraceCollector` the session also records the
+cycle-accurate timeline, exported as Chrome trace-event JSON
 (:func:`export_chrome_trace`) for Perfetto.
 
 Design rules:
@@ -28,7 +28,7 @@ from .chrome import (
     write_trace_dict,
 )
 from .collector import TraceCollector, TraceEvent, open_sink
-from .compat import harvest_run, run_to_registry
+from .compat import harvest_run
 from .html_report import render_report, write_report
 from .log import configure, get_logger, get_run_id, set_run_id
 from .profiler import EngineProfiler
@@ -87,7 +87,6 @@ __all__ = [
     "open_sink",
     "parse_prometheus_text",
     "render_report",
-    "run_to_registry",
     "scrub_volatile_args",
     "set_run_id",
     "spans_to_events",

@@ -19,14 +19,57 @@ which is what trace viewers require and what
 Timestamps are memory-controller cycles exported 1:1 as microseconds —
 trace viewers have no "cycles" unit, and a 1 cycle = 1 us mapping keeps
 the numbers readable and exact (no float scaling).
+
+Writers stream the canonical serialization (compact, sorted keys,
+trailing newline) of :func:`chrome_trace_dict`: each event is encoded on
+its own by the C JSON encoder, with no per-event dict or whole-document
+string.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Iterable, List, Tuple, Union
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Dict, IO, Iterable, Iterator, List, Union
 
 from .collector import TraceCollector, TraceEvent, open_sink
+
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_STRING = json.encoder.encode_basestring_ascii
+#: Canonical event order: (ts, pid, tid, name), the TraceEvent prefix.
+_ORDER = itemgetter(0, 1, 2, 3)
+#: Encoded events per write.
+_BATCH = 4096
+
+
+def _layout(events: Iterable[TraceEvent]):
+    """Sorted events, the deterministic pid/tid maps (track names in
+    sorted order, numbered from 1), and the ``process_name`` /
+    ``thread_name`` metadata events that name the tracks."""
+    ordered = sorted(events, key=_ORDER)
+    pids = {n: i for i, n in enumerate(sorted({e.pid for e in ordered}), 1)}
+    tids = {
+        k: i for i, k in
+        enumerate(sorted({(e.pid, e.tid) for e in ordered}), 1)
+    }
+    names: List[Dict[str, object]] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": name}} for name, pid in pids.items()
+    ]
+    names += [
+        {"name": "thread_name", "ph": "M", "pid": pids[pname],
+         "tid": tid, "args": {"name": tname}}
+        for (pname, tname), tid in tids.items()
+    ]
+    return ordered, pids, tids, names
+
+
+def _document(metadata) -> Dict[str, object]:
+    """Every top-level field except ``traceEvents``."""
+    other = {"clock": "memory-controller cycles (1 cycle = 1us)"}
+    other.update(metadata or {})
+    return {"displayTimeUnit": "ms", "otherData": other}
 
 
 def chrome_trace_dict(
@@ -39,32 +82,7 @@ def chrome_trace_dict(
     (sorted by name), and ``process_name`` / ``thread_name`` metadata
     events are emitted so viewers show the human-readable names.
     """
-    ordered = sorted(events, key=lambda e: (e.ts, e.pid, e.tid, e.name))
-    pids: Dict[str, int] = {}
-    tids: Dict[Tuple[str, str], int] = {}
-    for event in ordered:
-        if event.pid not in pids:
-            pids[event.pid] = 0
-        key = (event.pid, event.tid)
-        if key not in tids:
-            tids[key] = 0
-    for i, name in enumerate(sorted(pids)):
-        pids[name] = i + 1
-    for i, key in enumerate(sorted(tids)):
-        tids[key] = i + 1
-
-    trace_events: List[Dict[str, object]] = []
-    for name, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        trace_events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": name},
-        })
-    for (pname, tname), tid in sorted(tids.items(),
-                                      key=lambda kv: kv[1]):
-        trace_events.append({
-            "name": "thread_name", "ph": "M", "pid": pids[pname],
-            "tid": tid, "args": {"name": tname},
-        })
+    ordered, pids, tids, trace_events = _layout(events)
     for event in ordered:
         entry: Dict[str, object] = {
             "name": event.name,
@@ -78,14 +96,45 @@ def chrome_trace_dict(
         if event.args:
             entry["args"] = event.args
         trace_events.append(entry)
-    out: Dict[str, object] = {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "memory-controller cycles (1 cycle = 1us)"},
-    }
-    if metadata:
-        out["otherData"].update(metadata)
-    return out
+    return dict(_document(metadata), traceEvents=trace_events)
+
+
+def _encoded_events(ordered, pids, tids) -> Iterator[str]:
+    """Each event's canonical JSON (keys in sorted order), built
+    without a dict."""
+    for ts, pid, tid, name, ph, dur, args in ordered:
+        head = '{"args":' + _ENCODE(args) + "," if args else "{"
+        if ph == "X":
+            head += f'"dur":{dur if type(dur) is int else _ENCODE(dur)},'
+        yield (
+            f'{head}"name":{_STRING(name)},"ph":{_STRING(ph)},'
+            f'"pid":{pids[pid]},"tid":{tids[pid, tid]},'
+            f'"ts":{ts if type(ts) is int else _ENCODE(ts)}}}'
+        )
+
+
+def _write(path_or_file, document, members: Iterator[str]) -> None:
+    """Stream ``document`` plus a ``traceEvents`` array of already
+    encoded ``members`` as canonical JSON."""
+    handle = (
+        open_sink(path_or_file) if isinstance(path_or_file, str)
+        else path_or_file
+    )
+    try:
+        for i, key in enumerate(sorted([*document, "traceEvents"])):
+            handle.write(("," if i else "{") + _STRING(key) + ":")
+            if key != "traceEvents":
+                handle.write(_ENCODE(document[key]))
+                continue
+            handle.write("[")
+            batches = iter(lambda: list(islice(members, _BATCH)), [])
+            for j, batch in enumerate(batches):
+                handle.write(("," if j else "") + ",".join(batch))
+            handle.write("]")
+        handle.write("}\n")
+    finally:
+        if isinstance(path_or_file, str):
+            handle.close()
 
 
 def write_trace_dict(
@@ -97,17 +146,15 @@ def write_trace_dict(
     One serialization for every producer — collector exports, merged
     span traces — so byte-identity contracts compare a single format.
     """
-    handle = (
-        open_sink(path_or_file) if isinstance(path_or_file, str)
-        else path_or_file
-    )
-    try:
-        json.dump(payload, handle, indent=None,
-                  separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
-    finally:
-        if isinstance(path_or_file, str):
-            handle.close()
+    document = {k: v for k, v in payload.items() if k != "traceEvents"}
+    members = map(_ENCODE, payload.get("traceEvents", []))
+    _write(path_or_file, document, members)
+
+
+def _export(events, path_or_file, metadata) -> None:
+    ordered, pids, tids, names = _layout(events)
+    members = chain(map(_ENCODE, names), _encoded_events(ordered, pids, tids))
+    _write(path_or_file, _document(metadata), members)
 
 
 def export_chrome_trace(
@@ -117,12 +164,17 @@ def export_chrome_trace(
 ) -> int:
     """Write the collector's retained events as Chrome trace JSON.
 
-    Returns the number of exported (non-metadata) events.  Path errors
-    surface as :class:`~repro.errors.TelemetryError`.
+    ``otherData`` also carries the collector's ``total_events`` and
+    ``dropped_events``, so a trace cut by the ring says so.  Returns
+    the number of exported (non-metadata) events.  Path errors surface
+    as :class:`~repro.errors.TelemetryError`.
     """
     events = collector.events()
-    payload = chrome_trace_dict(events, metadata)
-    write_trace_dict(payload, path_or_file)
+    _export(events, path_or_file, dict(
+        metadata or {},
+        total_events=collector.total_events,
+        dropped_events=collector.dropped_events,
+    ))
     return len(events)
 
 
@@ -134,8 +186,7 @@ def export_span_trace(
     """Write a :class:`~repro.telemetry.spans.SpanTracer`'s merged span
     tree as Chrome trace JSON; returns the span count."""
     events = tracer.to_events()
-    payload = chrome_trace_dict(events, metadata)
-    write_trace_dict(payload, path_or_file)
+    _export(events, path_or_file, metadata)
     return len(events)
 
 

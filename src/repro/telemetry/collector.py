@@ -58,6 +58,9 @@ class TraceEvent(NamedTuple):
         return out
 
 
+_new_tuple = tuple.__new__
+
+
 def open_sink(path: str) -> IO[str]:
     """Open a writable telemetry sink with a friendly failure mode."""
     try:
@@ -92,7 +95,6 @@ class TraceCollector:
         self.capacity = capacity
         self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         self.total_events = 0
-        self.dropped_events = 0
         self._owns_sink = isinstance(sink, str)
         self._sink: Optional[IO[str]] = (
             open_sink(sink) if isinstance(sink, str) else sink
@@ -111,10 +113,9 @@ class TraceCollector:
         args: Optional[Dict[str, object]] = None,
     ) -> None:
         """Append one event (ring + sink)."""
-        event = TraceEvent(ts, pid, tid, name, ph, dur, args)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        event = _new_tuple(TraceEvent, (ts, pid, tid, name, ph, dur, args))
         self.total_events += 1
-        if len(self._ring) == self.capacity:
-            self.dropped_events += 1
         self._ring.append(event)
         sink = self._sink
         if sink is not None:
@@ -126,6 +127,11 @@ class TraceCollector:
                 raise TelemetryError(
                     f"telemetry sink write failed: {exc}"
                 ) from None
+
+    @property
+    def dropped_events(self) -> int:
+        """Events the ring has evicted (the oldest first)."""
+        return max(0, self.total_events - self.capacity)
 
     def events(self) -> List[TraceEvent]:
         """Retained events, oldest first."""

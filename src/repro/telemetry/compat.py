@@ -1,15 +1,19 @@
 """Compatibility shim: legacy stat structs -> the metrics registry.
 
 The simulator predates the registry: controllers accumulate a
-:class:`~repro.controllers.base.ControllerStats` dataclass, DRAM channels
-keep ``stat_commands`` / ``stat_data_cycles`` integers, ranks keep
+:class:`~repro.controllers.base.ControllerStats` dataclass and a
+per-domain ``service_trace``, DRAM channels keep per-type command
+counts and ``stat_data_cycles`` integers, ranks keep
 :class:`~repro.dram.rank.RankEnergyCounters`, the power model returns an
 :class:`~repro.dram.power.EnergyBreakdown`, the fault injector a
 ``Counter`` of struck kinds, and the monitor a violation total.  None of
 that plumbing changes — this module *harvests* each legacy struct into
 registry metrics after a run, so every consumer (JSON, Prometheus,
 snapshots, dashboards) sees one unified namespace while the hot paths
-keep their plain-integer accounting.
+keep their plain-integer accounting.  Nothing is counted live: even
+the event-count families (slot grants, commands by type, fault strikes,
+violations) are folded from those structs once per run
+(:func:`harvest_events`, called when a run ends).
 
 Field lists are discovered with :func:`dataclasses.fields`, so a new
 ``ControllerStats`` / ``RankEnergyCounters`` / ``EnergyBreakdown`` field
@@ -24,8 +28,10 @@ covers all of it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from collections import Counter
+from operator import itemgetter
 
+from ..dram.commands import CommandType
 from .registry import MetricsRegistry
 from .report import (
     histogram_to_registry,
@@ -124,19 +130,34 @@ def harvest_cores(registry: MetricsRegistry, cores) -> None:
         done.set(1 if core.done else 0, domain=core.domain)
 
 
-def harvest_faults(
-    registry: MetricsRegistry, counts: Optional[Dict[str, int]]
-) -> None:
-    """Export fault strike counts (``{kind: count}``) as labeled
-    counters plus the aggregate recovery counter.
+def harvest_events(registry: MetricsRegistry, controller) -> None:
+    """Fold one finished run's event counts, once per run.
 
-    Only for *offline* harvesting (``repro stats`` on a finished run):
-    a live :class:`~repro.telemetry.session.TelemetrySession` already
-    counts every strike as it happens, and calling this too would
+    Slot grants by (domain, kind) come from ``service_trace`` (global
+    domain ids, also for composites), DRAM commands by (type, channel)
+    from each channel's per-type counter, fault strikes and recoveries
+    from the injector's ``counts``, and violations from the monitor's
+    total.  Every family is declared even when it counted nothing, so
+    the snapshot has one shape.  Harvesting the same run twice would
     double-count.
     """
-    if not counts:
-        return
+    service = registry.counter(
+        "service_events_total",
+        "slot grants by security domain and kind code",
+        ("domain", "kind"),
+    )
+    for domain, events in controller.service_trace.items():
+        for kind, n in Counter(map(itemgetter(1), events)).items():
+            service.inc(n, domain=domain, kind=kind)
+    commands = registry.counter(
+        "commands_issued_total",
+        "DRAM commands issued, by command type and channel",
+        ("type", "channel"),
+    )
+    for channel in controller.dram.channels:
+        for ctype, n in zip(CommandType, channel.stat_commands_by_type):
+            if n:
+                commands.inc(n, type=ctype.value, channel=channel.channel_id)
     faults = registry.counter(
         "faults_injected_total", "injected faults that struck", ("kind",)
     )
@@ -144,10 +165,18 @@ def harvest_faults(
         "recoveries_total",
         "faults recovered within the victim domain's own slots",
     )
-    for kind, count in sorted(counts.items()):
-        faults.inc(count, kind=kind)
-        if kind not in _UNRECOVERED_KINDS:
-            recoveries.inc(count)
+    injector = getattr(controller, "fault_injector", None)
+    if injector is not None:
+        for kind, count in injector.counts_by_name().items():
+            faults.inc(count, kind=kind)
+            if kind not in _UNRECOVERED_KINDS:
+                recoveries.inc(count)
+    violations = registry.counter(
+        "monitor_violations_total",
+        "invariant violations flagged live by the online monitor",
+    )
+    if controller.monitor is not None and controller.monitor.total_violations:
+        violations.inc(controller.monitor.total_violations)
 
 
 def harvest_monitor(registry: MetricsRegistry, monitor) -> None:
@@ -168,13 +197,12 @@ def harvest_run(
     registry: MetricsRegistry,
     result,
     controller=None,
-    faults: bool = True,
 ) -> None:
-    """Harvest one :class:`~repro.sim.system.RunResult` end to end.
+    """Harvest one :class:`~repro.sim.system.RunResult`'s stat structs.
 
     ``controller`` additionally pulls DRAM channel/rank activity and the
-    monitor verdict.  ``faults=False`` skips the fault counters for
-    callers that streamed them live (see :func:`harvest_faults`).
+    monitor verdict.  Event counts (fault strikes included) are not
+    harvested here: a session folds them when the run ends.
     """
     registry.gauge("run_info", "1; labels carry run identity",
                    ("scheme",)).set(1, scheme=result.scheme)
@@ -192,18 +220,9 @@ def harvest_run(
         "1 when every domain's inter-service-time histogram has a "
         "single bucket (the FS invariance)",
     ).set(1 if is_degenerate(histograms) else 0)
-    if faults:
-        harvest_faults(registry, getattr(result, "faults", None))
     if controller is not None:
         harvest_dram(registry, controller.dram)
         harvest_monitor(registry, getattr(controller, "monitor", None))
-
-
-def run_to_registry(result, controller=None) -> MetricsRegistry:
-    """Fresh registry holding everything one finished run exposes."""
-    registry = MetricsRegistry()
-    harvest_run(registry, result, controller, faults=True)
-    return registry
 
 
 __all__ = [
@@ -211,8 +230,7 @@ __all__ = [
     "harvest_cores",
     "harvest_dram",
     "harvest_energy",
-    "harvest_faults",
+    "harvest_events",
     "harvest_monitor",
     "harvest_run",
-    "run_to_registry",
 ]

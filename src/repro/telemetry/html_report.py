@@ -57,10 +57,7 @@ def _section(title: str, body: str) -> str:
 def _table(headers: List[str], rows: List[List[str]]) -> str:
     """Rows hold pre-rendered cell HTML; headers are escaped here."""
     head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
-    body = "\n".join(
-        "<tr>" + "".join(rows_cells) + "</tr>"
-        for rows_cells in (r for r in rows)
-    )
+    body = "\n".join("<tr>" + "".join(r) + "</tr>" for r in rows)
     return (
         f"<table><thead><tr>{head}</tr></thead>"
         f"<tbody>\n{body}\n</tbody></table>"

@@ -33,6 +33,7 @@ import logging
 import sys
 import time
 import uuid
+from contextlib import contextmanager
 from typing import Optional
 
 _run_id: Optional[str] = None
@@ -113,31 +114,21 @@ def configure(level: str = "warning") -> None:
     _root().setLevel(numeric)
 
 
+@contextmanager
 def log_duration(logger: logging.Logger, msg: str, **fields):
-    """Context manager logging ``msg`` with a ``wall_s`` field on exit."""
-    return _DurationContext(logger, msg, fields)
-
-
-class _DurationContext:
-    __slots__ = ("_logger", "_msg", "_fields", "_start")
-
-    def __init__(self, logger, msg, fields):
-        self._logger = logger
-        self._msg = msg
-        self._fields = fields
-
-    def __enter__(self):
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        fields = dict(self._fields)
-        fields["wall_s"] = round(time.monotonic() - self._start, 4)
-        if exc_type is not None:
-            fields["outcome"] = "error"
-            self._logger.warning(self._msg, extra=fields)
-        else:
-            self._logger.info(self._msg, extra=fields)
+    """Context manager logging ``msg`` with a ``wall_s`` field on exit
+    (at WARNING with ``outcome="error"`` when the block raised)."""
+    start = time.monotonic()
+    emit = logger.info
+    try:
+        yield
+    except BaseException:
+        emit = logger.warning
+        fields["outcome"] = "error"
+        raise
+    finally:
+        fields["wall_s"] = round(time.monotonic() - start, 4)
+        emit(msg, extra=fields)
 
 
 __all__ = [

@@ -101,15 +101,6 @@ class EngineProfiler:
             "engine_stride_cycles_total",
             "cycles covered by fast-driver strides", volatile=True,
         ).inc(self.stride_cycles)
-        registry.gauge(
-            "engine_max_stride_cycles",
-            "largest single horizon jump observed", volatile=True,
-        ).set(self.max_stride)
-        registry.gauge(
-            "engine_mean_stride_cycles",
-            "mean horizon-jump size (cycles per driver event)",
-            volatile=True,
-        ).set(round(self.mean_stride, 6))
         stride_counter = registry.counter(
             "engine_stride_size_total",
             "horizon-jump size distribution; bucket k holds strides in "
@@ -117,41 +108,37 @@ class EngineProfiler:
         )
         for bits, count in sorted(self.stride_hist.items()):
             stride_counter.inc(count, bucket=f"2^{bits}")
-        # Wall-clock-derived: volatile by construction.
-        registry.gauge(
-            "engine_wall_seconds", "wall-clock simulation time",
-            volatile=True,
-        ).set(self.wall_seconds)
-        registry.gauge(
-            "engine_events_per_second",
-            "fast-driver iterations per wall second", volatile=True,
-        ).set(round(self.events_per_second, 3))
-        registry.gauge(
-            "engine_cycles_per_second",
-            "simulated cycles per wall second", volatile=True,
-        ).set(round(self.cycles_per_second, 3))
-        # Template-cache effectiveness (process-global counters owned by
-        # repro.sim.fastpath; volatile because the cache outlives runs —
+        # Template-cache effectiveness comes from process-global
+        # counters owned by repro.sim.fastpath (the cache outlives runs:
         # the hit rate depends on what ran earlier in the process).
         from ..sim import fastpath
 
-        stats = fastpath.template_cache_stats()
-        registry.gauge(
-            "engine_template_cache_hits",
-            "schedule-template cache hits (process-global)",
-            volatile=True,
-        ).set(stats["hits"])
-        registry.gauge(
-            "engine_template_cache_misses",
-            "schedule-template cache misses (process-global)",
-            volatile=True,
-        ).set(stats["misses"])
-        total = stats["hits"] + stats["misses"]
-        registry.gauge(
-            "engine_template_cache_hit_rate",
-            "fraction of schedule builds served from the template cache",
-            volatile=True,
-        ).set(round(stats["hits"] / total, 6) if total else 0.0)
-
+        cache = fastpath.template_cache_stats()
+        lookups = cache["hits"] + cache["misses"]
+        for name, help_text, value in (
+            ("engine_max_stride_cycles",
+             "largest single horizon jump observed", self.max_stride),
+            ("engine_mean_stride_cycles",
+             "mean horizon-jump size (cycles per driver event)",
+             round(self.mean_stride, 6)),
+            ("engine_wall_seconds", "wall-clock simulation time",
+             self.wall_seconds),
+            ("engine_events_per_second",
+             "fast-driver iterations per wall second",
+             round(self.events_per_second, 3)),
+            ("engine_cycles_per_second",
+             "simulated cycles per wall second",
+             round(self.cycles_per_second, 3)),
+            ("engine_template_cache_hits",
+             "schedule-template cache hits (process-global)",
+             cache["hits"]),
+            ("engine_template_cache_misses",
+             "schedule-template cache misses (process-global)",
+             cache["misses"]),
+            ("engine_template_cache_hit_rate",
+             "fraction of schedule builds served from the template cache",
+             round(cache["hits"] / lookups, 6) if lookups else 0.0),
+        ):
+            registry.gauge(name, help_text, volatile=True).set(value)
 
 __all__ = ["EngineProfiler"]

@@ -209,16 +209,18 @@ class Histogram(Metric):
             )
         self.bounds: Tuple[float, ...] = tuple(bounds)
 
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(self.labelnames, labels, self.name)
+    def _sample(self, key: Tuple[str, ...]) -> Dict[str, object]:
+        """The label set's sample, created empty on first use."""
         sample = self._samples.get(key)
         if sample is None:
-            sample = {
-                "buckets": [0] * (len(self.bounds) + 1),
-                "sum": 0,
+            sample = self._samples[key] = {
+                "buckets": [0] * (len(self.bounds) + 1), "sum": 0,
                 "count": 0,
             }
-            self._samples[key] = sample
+        return sample
+
+    def observe(self, value: float, **labels) -> None:
+        sample = self._sample(_label_key(self.labelnames, labels, self.name))
         idx = len(self.bounds)
         for i, bound in enumerate(self.bounds):
             if value <= bound:
@@ -381,14 +383,7 @@ class MetricsRegistry:
                 )
             for key, value in theirs.samples():
                 if isinstance(mine, Histogram):
-                    sample = mine._samples.get(key)
-                    if sample is None:
-                        sample = {
-                            "buckets": [0] * (len(mine.bounds) + 1),
-                            "sum": 0,
-                            "count": 0,
-                        }
-                        mine._samples[key] = sample
+                    sample = mine._sample(key)
                     for i, count in enumerate(value["buckets"]):
                         sample["buckets"][i] += count
                     sample["sum"] += value["sum"]

@@ -29,6 +29,7 @@ into the same trace a serial grid writes, modulo ``wall_*`` values.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from ..errors import TelemetryError
@@ -67,30 +68,15 @@ class SpanRecord(NamedTuple):
     parent: int
     args: Optional[Dict[str, object]] = None
 
-    def to_json_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "track": self.track, "name": self.name,
-            "category": self.category, "start": self.start,
-            "end": self.end, "depth": self.depth, "seq": self.seq,
-            "parent": self.parent,
-        }
-        if self.args:
-            out["args"] = self.args
-        return out
 
-
-class _OpenSpan:
-    __slots__ = ("name", "category", "start", "seq", "parent", "depth",
-                 "args")
-
-    def __init__(self, name, category, start, seq, parent, depth, args):
-        self.name = name
-        self.category = category
-        self.start = start
-        self.seq = seq
-        self.parent = parent
-        self.depth = depth
-        self.args = args
+class _OpenSpan(NamedTuple):
+    name: str
+    category: str
+    start: int
+    seq: int
+    parent: int
+    depth: int
+    args: Optional[Dict[str, object]]
 
 
 class SpanTracer:
@@ -172,11 +158,16 @@ class SpanTracer:
         self.records.append(record)
         return record
 
+    @contextmanager
     def span(self, name: str, category: str,
              args: Optional[Dict[str, object]] = None):
         """Context manager over :meth:`begin`/:meth:`end` (logical
         clock)."""
-        return _SpanContext(self, name, category, args)
+        seq = self.begin(name, category, args=args)
+        try:
+            yield
+        finally:
+            self.end(seq)
 
     def complete(
         self,
@@ -291,25 +282,6 @@ class SpanTracer:
             if dur > entry["max"]:
                 entry["max"] = dur
         return [agg[k] for k in sorted(agg)]
-
-
-class _SpanContext:
-    __slots__ = ("_tracer", "_name", "_category", "_args", "_seq")
-
-    def __init__(self, tracer, name, category, args):
-        self._tracer = tracer
-        self._name = name
-        self._category = category
-        self._args = args
-
-    def __enter__(self):
-        self._seq = self._tracer.begin(
-            self._name, self._category, args=self._args
-        )
-        return self
-
-    def __exit__(self, *exc):
-        self._tracer.end(self._seq)
 
 
 def spans_to_events(records: Iterable[SpanRecord]) -> List[TraceEvent]:

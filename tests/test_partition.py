@@ -139,3 +139,31 @@ class TestFactory:
         p = make_partition("rank", G, 4)
         with pytest.raises(ValueError):
             p.resources(4)
+
+
+class TestResourcesComputedOnce:
+    """Each domain's resource list is built at construction: decode
+    reads it in place and ``resources()`` hands out a fresh copy."""
+
+    @pytest.mark.parametrize("policy,geometry,domains", [
+        (ChannelPartition, G4, 2),
+        (RankPartition, G, 3),
+        (BankPartition, G, 5),
+    ])
+    def test_fresh_list_and_same_decode(self, policy, geometry, domains):
+        from repro.mapping.partition import interleave_decode
+
+        p = policy(geometry, domains)
+        for d in range(domains):
+            first = p.resources(d)
+            first.clear()
+            again = p.resources(d)
+            assert again and again is not p.resources(d)
+            for line in (0, 1, 127, 128, 5000, 10 ** 7):
+                assert p.decode(d, line) == interleave_decode(
+                    again, geometry, line
+                )
+        with pytest.raises(ValueError):
+            p.decode(domains, 0)
+        with pytest.raises(ValueError):
+            p.decode(-1, 0)
